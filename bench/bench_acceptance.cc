@@ -24,7 +24,7 @@ CampaignStats RunTool(const char* tool) {
   options.seed = 99;
   options.coverage_points = 0;
   std::unique_ptr<Generator> generator = MakeTool(tool, options.version);
-  Fuzzer fuzzer(*generator, options);
+  ParallelFuzzer fuzzer(*generator, options);
   return fuzzer.Run();
 }
 

@@ -78,7 +78,7 @@ double MeasureCampaign(bool audit, uint64_t* findings) {
   options.seed = 1;
   options.audit_state = audit;
   StructuredGenerator generator(options.version);
-  Fuzzer fuzzer(generator, options);
+  ParallelFuzzer fuzzer(generator, options);
   const double start = Now();
   const CampaignStats stats = fuzzer.Run();
   const double seconds = Now() - start;

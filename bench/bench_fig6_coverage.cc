@@ -34,7 +34,7 @@ std::vector<double> AveragedCurve(const char* tool, bpf::KernelVersion version) 
     options.seed = 1000 + static_cast<uint64_t>(repeat);
     options.coverage_points = kPoints;
     std::unique_ptr<Generator> generator = MakeTool(tool, version);
-    Fuzzer fuzzer(*generator, options);
+    ParallelFuzzer fuzzer(*generator, options);
     const CampaignStats stats = fuzzer.Run();
     for (int i = 0; i < kPoints && i < static_cast<int>(stats.curve.size()); ++i) {
       curve[i] += static_cast<double>(stats.curve[i].covered) / kRepeats;

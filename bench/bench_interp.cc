@@ -23,7 +23,7 @@
 // Digest equality is enforced inside the bench, twice:
 //   * per-batch: all three engines must produce identical ExecResult
 //     (r0, errno, insns_executed) for every measured configuration, and
-//   * campaign-level: a full serial campaign (sanitize on, all bugs) run
+//   * campaign-level: a full jobs=1 campaign (sanitize on, all bugs) run
 //     with --interp=legacy, --interp=decoded, and --interp=jit must produce
 //     the same StatsDigest. A faster engine that drifts is a correctness
 //     failure, not a perf data point.
@@ -168,7 +168,7 @@ std::string CampaignDigest(bpf::ExecEngine engine) {
   options.seed = 1;
   options.interp_engine = engine;
   StructuredGenerator generator(options.version);
-  Fuzzer fuzzer(generator, options);
+  ParallelFuzzer fuzzer(generator, options);
   const CampaignStats stats = fuzzer.Run();
   return StatsDigest(stats);
 }

@@ -7,7 +7,7 @@
 // accepted case. This bench prices that work and pins the two digest
 // contracts the feature ships with:
 //
-//   1. Overhead: the same serial campaign (all bugs, sanitize + audit on —
+//   1. Overhead: the same jobs=1 campaign (all bugs, sanitize + audit on —
 //      the realistic hunting shape) is timed with --metamorph off (the PR 4
 //      baseline path: the oracle is never constructed) and with
 //      --metamorph-k=2. Acceptance bar (ISSUE 5): on/off wall-clock ratio
@@ -16,12 +16,10 @@
 //      transform may diverge, so the K=2 campaign's StatsDigest must be
 //      bit-identical to the metamorph-off digest — the oracle contributes
 //      nothing but divergences, and a correct verifier yields none.
-//   3. Base-campaign invariance: with --metamorph off, the parallel engine
-//      must agree digest-for-digest at --jobs=1 and --jobs=2, i.e. the
-//      metamorph plumbing (options, counters, checkpoint lines, barrier
-//      merges) is invisible to the base campaign it rides on. (The serial
-//      engine is not compared against the parallel one: they draw distinct
-//      per-iteration seed streams by design.)
+//   3. Base-campaign invariance: with --metamorph off, the campaign must
+//      agree digest-for-digest at --jobs=1 and --jobs=4, i.e. the metamorph
+//      plumbing (options, counters, checkpoint lines, barrier merges) is
+//      invisible to the base campaign it rides on.
 //
 // The overhead campaign also reports the divergence counters: with all bugs
 // injected the const-remat transform flips bug13's mov-imm/ld_imm64 verdict
@@ -67,13 +65,13 @@ struct CampaignRun {
   CampaignStats stats;
 };
 
-CampaignRun RunSerial(CampaignOptions options, int metamorph_k) {
+CampaignRun RunTimed(CampaignOptions options, int metamorph_k) {
   options.metamorph = metamorph_k > 0;
   options.metamorph_k = metamorph_k;
   CampaignRun run;
   for (int attempt = 0; attempt < kBestOf; ++attempt) {
     StructuredGenerator generator(options.version);
-    Fuzzer fuzzer(generator, options);
+    ParallelFuzzer fuzzer(generator, options);
     const double start = Now();
     const CampaignStats stats = fuzzer.Run();
     const double seconds = Now() - start;
@@ -86,7 +84,7 @@ CampaignRun RunSerial(CampaignOptions options, int metamorph_k) {
   return run;
 }
 
-std::string RunParallelDigest(CampaignOptions options, int jobs) {
+std::string RunDigest(CampaignOptions options, int jobs) {
   options.jobs = jobs;
   StructuredGenerator generator(options.version);
   ParallelFuzzer fuzzer(generator, options);
@@ -100,13 +98,13 @@ int main() {
   using namespace bvf;
   PrintHeader("metamorphic oracle: K=2 overhead and digest invisibility");
   printf("campaign: %" PRIu64 " iterations, seed %" PRIu64
-         ", serial engine, best of %d\n\n",
+         ", jobs=1, best of %d\n\n",
          kIterations, kSeed, kBestOf);
 
   // ---- 1. Overhead on the realistic hunting campaign (all bugs). ----
-  const CampaignRun off = RunSerial(BaseOptions(/*all_bugs=*/true), 0);
-  const CampaignRun k1 = RunSerial(BaseOptions(/*all_bugs=*/true), 1);
-  const CampaignRun k2 = RunSerial(BaseOptions(/*all_bugs=*/true), 2);
+  const CampaignRun off = RunTimed(BaseOptions(/*all_bugs=*/true), 0);
+  const CampaignRun k1 = RunTimed(BaseOptions(/*all_bugs=*/true), 1);
+  const CampaignRun k2 = RunTimed(BaseOptions(/*all_bugs=*/true), 2);
   const double overhead_k2 = k2.seconds / off.seconds;
 
   printf("%-18s %10s %10s %12s %12s\n", "config", "seconds", "overhead",
@@ -130,22 +128,19 @@ int main() {
          k2_divergences);
 
   // ---- 2. Oracle invisibility on a correct kernel. ----
-  const CampaignRun clean_off = RunSerial(BaseOptions(/*all_bugs=*/false), 0);
-  const CampaignRun clean_k2 = RunSerial(BaseOptions(/*all_bugs=*/false), 2);
+  const CampaignRun clean_off = RunTimed(BaseOptions(/*all_bugs=*/false), 0);
+  const CampaignRun clean_k2 = RunTimed(BaseOptions(/*all_bugs=*/false), 2);
   const bool invisible = clean_off.digest == clean_k2.digest;
   printf("\ncorrect kernel digest, metamorph off %s / k=2 %s: %s\n",
          clean_off.digest.c_str(), clean_k2.digest.c_str(),
          invisible ? "identical" : "DIVERGED");
 
   // ---- 3. Base campaign unperturbed with --metamorph off. ----
-  const std::string parallel_off1 =
-      RunParallelDigest(BaseOptions(/*all_bugs=*/true), 1);
-  const std::string parallel_off2 =
-      RunParallelDigest(BaseOptions(/*all_bugs=*/true), 2);
-  const bool base_equal = parallel_off1 == parallel_off2;
-  printf("base campaign digest, parallel jobs=1 %s / jobs=2 %s: %s\n",
-         parallel_off1.c_str(), parallel_off2.c_str(),
-         base_equal ? "identical" : "DIVERGED");
+  // |off| is the jobs=1 leg.
+  const std::string off_jobs4 = RunDigest(BaseOptions(/*all_bugs=*/true), 4);
+  const bool base_equal = off.digest == off_jobs4;
+  printf("base campaign digest, jobs=1 %s / jobs=4 %s: %s\n", off.digest.c_str(),
+         off_jobs4.c_str(), base_equal ? "identical" : "DIVERGED");
 
   FILE* json = fopen("bench_metamorph.json", "w");
   if (json) {
@@ -167,7 +162,7 @@ int main() {
             "}\n",
             kIterations, kSeed, kBestOf, off.seconds, k1.seconds, k2.seconds,
             k1.seconds / off.seconds, overhead_k2, k2.stats.metamorph_variants,
-            k2_divergences, invisible ? "true" : "false", parallel_off1.c_str(),
+            k2_divergences, invisible ? "true" : "false", off.digest.c_str(),
             base_equal ? "true" : "false");
     fclose(json);
     printf("wrote bench_metamorph.json\n");

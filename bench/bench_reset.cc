@@ -2,10 +2,9 @@
 //
 // Measures the same 2000-iteration jobs=1 campaign twice on one binary:
 //   baseline  — the pre-overhaul configuration: full-arena rewind between
-//               cases, full StateEqual scans in the pruning back-edge walk,
-//               canonical verdict-cache level off;
-//   optimized — dirty-tracked reset + prune fingerprint fast path +
-//               canonical cache on (the shipping defaults).
+//               cases, full StateEqual scans in the pruning back-edge walk;
+//   optimized — dirty-tracked reset + prune fingerprint fast path (the
+//               shipping defaults).
 //
 // Measurement hygiene: each campaign runs in a forked child so neither
 // configuration inherits the other's heap and page-cache state (a baseline
@@ -56,8 +55,6 @@ struct RunResult {
   uint64_t exec_runs = 0;
   uint64_t accepted = 0;
   uint64_t coverage = 0;
-  uint64_t canon_hits = 0;
-  uint64_t canon_misses = 0;
   char digest[32] = {};
 };
 
@@ -83,12 +80,11 @@ bool RunOnceIsolated(bool optimized, RunResult* best, double* seconds) {
     options.seed = 1;
     options.jobs = 1;
     options.verdict_cache = true;  // the bench_parallel jobs=1 configuration
-    options.canonical_cache = optimized;
     options.dirty_reset = optimized;
     bpf::SetPruneFingerprintEnabled(optimized);
 
     StructuredGenerator generator(options.version);
-    Fuzzer fuzzer(generator, options);
+    ParallelFuzzer fuzzer(generator, options);
     const double start = Now();
     const CampaignStats stats = fuzzer.Run();
 
@@ -97,8 +93,6 @@ bool RunOnceIsolated(bool optimized, RunResult* best, double* seconds) {
     wire.exec_runs = stats.exec_runs;
     wire.accepted = stats.accepted;
     wire.coverage = stats.final_coverage;
-    wire.canon_hits = stats.canonical_cache_hits;
-    wire.canon_misses = stats.canonical_cache_misses;
     snprintf(wire.digest, sizeof(wire.digest), "%s", StatsDigest(stats).c_str());
     const ssize_t written = write(fds[1], &wire, sizeof(wire));
     _exit(written == sizeof(wire) ? 0 : 1);
@@ -131,7 +125,7 @@ double Median(std::vector<double> xs) {
 
 int main() {
   using namespace bvf;
-  PrintHeader("hot-loop throughput: dirty reset + prune fingerprint + canonical cache");
+  PrintHeader("hot-loop throughput: dirty reset + prune fingerprint");
   printf("campaign: %" PRIu64 " iterations, all bugs, jobs=1, "
          "%d interleaved isolated run pairs\n\n",
          kIterations, kRepeats);
@@ -171,8 +165,6 @@ int main() {
          speedup, kRepeats, kBar);
   printf("digests identical: %s (%s)\n", digests_match ? "yes" : "NO",
          optimized.digest);
-  printf("canonical cache: %" PRIu64 " hits / %" PRIu64 " misses\n",
-         optimized.canon_hits, optimized.canon_misses);
 
   FILE* json = fopen("BENCH_reset.json", "w");
   if (json) {
@@ -188,15 +180,12 @@ int main() {
             "  \"speedup\": %.3f,\n"
             "  \"speedup_method\": \"median of per-repeat pairwise ratios\",\n"
             "  \"digests_match\": %s,\n"
-            "  \"stats_digest\": \"%s\",\n"
-            "  \"canonical_cache_hits\": %" PRIu64 ",\n"
-            "  \"canonical_cache_misses\": %" PRIu64 "\n"
+            "  \"stats_digest\": \"%s\"\n"
             "}\n",
             kIterations, kRepeats, kBar, baseline.seconds, optimized.seconds,
             baseline.exec_runs / baseline.seconds,
             optimized.exec_runs / optimized.seconds, speedup,
-            digests_match ? "true" : "false", optimized.digest,
-            optimized.canon_hits, optimized.canon_misses);
+            digests_match ? "true" : "false", optimized.digest);
     fclose(json);
     printf("wrote BENCH_reset.json\n");
   }

@@ -63,7 +63,7 @@ RunResult MeasureCampaign(Mode mode) {
   RunResult best;
   for (int repeat = 0; repeat < kRepeats; ++repeat) {
     StructuredGenerator generator(options.version);
-    Fuzzer fuzzer(generator, options);
+    ParallelFuzzer fuzzer(generator, options);
     const double start = Now();
     const CampaignStats stats = fuzzer.Run();
     const double seconds = Now() - start;

@@ -68,7 +68,7 @@ uint64_t RunTool(const char* tool, const BugSpec& spec) {
   options.coverage_points = 0;
 
   std::unique_ptr<Generator> generator = MakeTool(tool, spec.version);
-  Fuzzer fuzzer(*generator, options);
+  ParallelFuzzer fuzzer(*generator, options);
   const CampaignStats stats = fuzzer.Run();
   return stats.FoundAtIteration(spec.bug);
 }
@@ -131,7 +131,7 @@ int main() {
   options.seed = kSeed + 1;
   options.coverage_points = 0;
   StructuredGenerator generator(options.version);
-  Fuzzer fuzzer(generator, options);
+  ParallelFuzzer fuzzer(generator, options);
   const CampaignStats stats = fuzzer.Run();
   printf("acceptance=%.1f%%  unique findings=%zu\n", 100 * stats.AcceptanceRate(),
          stats.findings.size());

@@ -29,7 +29,7 @@ double FinalCoverage(const char* tool, bpf::KernelVersion version) {
     options.seed = 500 + static_cast<uint64_t>(repeat);
     options.coverage_points = 0;
     std::unique_ptr<Generator> generator = MakeTool(tool, version);
-    Fuzzer fuzzer(*generator, options);
+    ParallelFuzzer fuzzer(*generator, options);
     sum += static_cast<double>(fuzzer.Run().final_coverage);
   }
   return sum / kRepeats;

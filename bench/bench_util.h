@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "src/core/baselines.h"
-#include "src/core/fuzzer.h"
+#include "src/core/parallel.h"
 #include "src/core/structured_gen.h"
 
 namespace bvf {

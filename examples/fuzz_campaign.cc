@@ -7,21 +7,17 @@
 //          [--fault-rate=F] [--confirm-runs=K]
 //          [--checkpoint=PATH] [--checkpoint-every=N] [--resume=PATH]
 //          [--stop-after=N] [--jobs=N] [--verdict-cache=on|off]
-//          [--canonical-cache=on|off]
 //          [--interp=decoded|legacy|jit] [--jit-oracle]
 //          [--conformance=DIR]
 //          [--metamorph] [--metamorph-k=K] [--smoke]
 //          [--supervise] [--worker-retries=K] [--hang-timeout=MS]
 //          [--quarantine=PATH] [--journal=PATH] [--replay-quarantine=PATH]
 //
-// Without --jobs the original serial engine runs. Any explicit --jobs=N
-// (including N=1) selects the parallel sharded engine (src/core/parallel.h),
-// whose results are bit-identical for every N — so a checkpoint written at
-// --jobs=8 resumes at --jobs=1. --verdict-cache=on enables the digest-keyed
-// verifier-verdict cache in either engine; --canonical-cache=on (requires the
-// verdict cache) adds the canonical level, which serves committed rejections
-// to alpha-equivalent program spellings without re-verifying. --interp
-// selects the execution engine: decoded micro-op dispatch with the
+// The campaign runs on the epoch engine (src/core/parallel.h) with --jobs
+// worker threads (default 1). Results are bit-identical for every N, so a
+// checkpoint written at --jobs=8 resumes at --jobs=1. --verdict-cache=on
+// enables the digest-keyed verifier-verdict cache. --interp selects the
+// execution engine: decoded micro-op dispatch with the
 // digest-keyed decode cache (the default), the native x86-64 JIT tier with
 // the additional digest-keyed code cache, or the legacy
 // instruction-at-a-time interpreter; all three are digest-identical, so the
@@ -60,6 +56,10 @@
 // static-analysis passes: CFG dump, lints, liveness, and the per-instruction
 // abstract-claim vs concrete-witness diff (indicator #3's view of the case).
 //
+// Unknown flags, malformed numbers, extra positional arguments and unknown
+// --interp/--verdict-cache values are usage errors: the flag is named on
+// stderr and the exit status is 2.
+//
 // With --smoke, the run acts as the robustness gate: it asserts that every
 // iteration landed in a classified outcome bucket and (when confirmation is
 // on) that every finding carries a confirmation verdict, then prints a
@@ -68,7 +68,9 @@
 // their digests are identical — the job-count-invariance gate. Exits non-zero
 // on any violation.
 
+#include <cerrno>
 #include <cinttypes>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -77,11 +79,61 @@
 #include <vector>
 
 #include "src/core/checkpoint.h"
-#include "src/core/fuzzer.h"
 #include "src/core/parallel.h"
 #include "src/core/repro.h"
 #include "src/core/structured_gen.h"
 #include "src/core/supervisor/supervisor.h"
+
+namespace {
+
+// Prints a usage error naming |arg| and exits 2.
+[[noreturn]] void UsageError(const char* arg, const char* why) {
+  fprintf(stderr, "fuzz_campaign: %s: %s\n", arg, why);
+  fprintf(stderr,
+          "usage: fuzz_campaign [iterations] [seed] [--flag[=value] ...] "
+          "(flags are listed in the header of examples/fuzz_campaign.cc)\n");
+  exit(2);
+}
+
+// Parses all of |text| as a decimal unsigned integer, or fails on |arg|.
+uint64_t ParseU64(const char* arg, const char* text) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = strtoull(text, &end, 10);
+  if (*text < '0' || *text > '9' || *end != '\0' || errno != 0) {
+    UsageError(arg, "expected a non-negative integer");
+  }
+  return value;
+}
+
+int ParseInt(const char* arg, const char* text) {
+  const uint64_t value = ParseU64(arg, text);
+  if (value > static_cast<uint64_t>(INT_MAX)) {
+    UsageError(arg, "value out of range");
+  }
+  return static_cast<int>(value);
+}
+
+double ParseProbability(const char* arg, const char* text) {
+  char* end = nullptr;
+  const double value = strtod(text, &end);
+  if (end == text || *end != '\0' || !(value >= 0.0 && value <= 1.0)) {
+    UsageError(arg, "expected a probability in [0, 1]");
+  }
+  return value;
+}
+
+bool ParseOnOff(const char* arg, const char* text) {
+  if (strcmp(text, "on") == 0) {
+    return true;
+  }
+  if (strcmp(text, "off") != 0) {
+    UsageError(arg, "expected on or off");
+  }
+  return false;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace bvf;
@@ -95,9 +147,7 @@ int main(int argc, char** argv) {
   const char* resume_path = nullptr;
   uint64_t stop_after = 0;
   int jobs = 1;
-  bool jobs_given = false;  // explicit --jobs selects the parallel engine even at 1
   bool verdict_cache = false;
-  bool canonical_cache = false;
   bpf::ExecEngine interp_engine = bpf::ExecEngine::kDecoded;
   bool jit_oracle = false;
   const char* conformance_dir = nullptr;
@@ -115,62 +165,73 @@ int main(int argc, char** argv) {
   uint64_t positional[2] = {3000, 1};  // iterations, seed
   int npos = 0;
   for (int i = 1; i < argc; ++i) {
-    if (strcmp(argv[i], "--analysis") == 0) {
+    const char* arg = argv[i];
+    if (strcmp(arg, "--analysis") == 0) {
       analysis = true;
-    } else if (strcmp(argv[i], "--smoke") == 0) {
+    } else if (strcmp(arg, "--smoke") == 0) {
       smoke = true;
-    } else if (strncmp(argv[i], "--jobs=", 7) == 0) {
-      jobs = static_cast<int>(strtol(argv[i] + 7, nullptr, 10));
-      jobs_given = true;
-    } else if (strncmp(argv[i], "--verdict-cache=", 16) == 0) {
-      verdict_cache = strcmp(argv[i] + 16, "on") == 0;
-    } else if (strncmp(argv[i], "--canonical-cache=", 18) == 0) {
-      canonical_cache = strcmp(argv[i] + 18, "on") == 0;
-    } else if (strncmp(argv[i], "--interp=", 9) == 0) {
-      const char* engine = argv[i] + 9;
-      interp_engine = strcmp(engine, "legacy") == 0 ? bpf::ExecEngine::kLegacy
-                      : strcmp(engine, "jit") == 0  ? bpf::ExecEngine::kJit
-                                                    : bpf::ExecEngine::kDecoded;
-    } else if (strcmp(argv[i], "--jit-oracle") == 0) {
+    } else if (strncmp(arg, "--jobs=", 7) == 0) {
+      jobs = ParseInt(arg, arg + 7);
+      if (jobs < 1) {
+        UsageError(arg, "need at least one job");
+      }
+    } else if (strncmp(arg, "--verdict-cache=", 16) == 0) {
+      verdict_cache = ParseOnOff(arg, arg + 16);
+    } else if (strncmp(arg, "--interp=", 9) == 0) {
+      const char* engine = arg + 9;
+      if (strcmp(engine, "decoded") == 0) {
+        interp_engine = bpf::ExecEngine::kDecoded;
+      } else if (strcmp(engine, "legacy") == 0) {
+        interp_engine = bpf::ExecEngine::kLegacy;
+      } else if (strcmp(engine, "jit") == 0) {
+        interp_engine = bpf::ExecEngine::kJit;
+      } else {
+        UsageError(arg, "expected decoded, legacy or jit");
+      }
+    } else if (strcmp(arg, "--jit-oracle") == 0) {
       jit_oracle = true;
-    } else if (strncmp(argv[i], "--conformance=", 14) == 0) {
-      conformance_dir = argv[i] + 14;
-    } else if (strcmp(argv[i], "--metamorph") == 0) {
+    } else if (strncmp(arg, "--conformance=", 14) == 0) {
+      conformance_dir = arg + 14;
+    } else if (strcmp(arg, "--metamorph") == 0) {
       metamorph = true;
-    } else if (strncmp(argv[i], "--metamorph-k=", 14) == 0) {
-      metamorph_k = static_cast<int>(strtol(argv[i] + 14, nullptr, 10));
-    } else if (strncmp(argv[i], "--fault-rate=", 13) == 0) {
-      fault_rate = strtod(argv[i] + 13, nullptr);
-    } else if (strncmp(argv[i], "--confirm-runs=", 15) == 0) {
-      confirm_runs = static_cast<int>(strtol(argv[i] + 15, nullptr, 10));
-    } else if (strncmp(argv[i], "--checkpoint=", 13) == 0) {
-      checkpoint_path = argv[i] + 13;
-    } else if (strncmp(argv[i], "--checkpoint-every=", 19) == 0) {
-      checkpoint_every = strtoull(argv[i] + 19, nullptr, 10);
-    } else if (strncmp(argv[i], "--resume=", 9) == 0) {
-      resume_path = argv[i] + 9;
-    } else if (strncmp(argv[i], "--stop-after=", 13) == 0) {
-      stop_after = strtoull(argv[i] + 13, nullptr, 10);
-    } else if (strcmp(argv[i], "--supervise") == 0) {
+    } else if (strncmp(arg, "--metamorph-k=", 14) == 0) {
+      metamorph_k = ParseInt(arg, arg + 14);
+    } else if (strncmp(arg, "--fault-rate=", 13) == 0) {
+      fault_rate = ParseProbability(arg, arg + 13);
+    } else if (strncmp(arg, "--confirm-runs=", 15) == 0) {
+      confirm_runs = ParseInt(arg, arg + 15);
+    } else if (strncmp(arg, "--checkpoint=", 13) == 0) {
+      checkpoint_path = arg + 13;
+    } else if (strncmp(arg, "--checkpoint-every=", 19) == 0) {
+      checkpoint_every = ParseU64(arg, arg + 19);
+    } else if (strncmp(arg, "--resume=", 9) == 0) {
+      resume_path = arg + 9;
+    } else if (strncmp(arg, "--stop-after=", 13) == 0) {
+      stop_after = ParseU64(arg, arg + 13);
+    } else if (strcmp(arg, "--supervise") == 0) {
       supervise = true;
-    } else if (strncmp(argv[i], "--worker-retries=", 17) == 0) {
-      worker_retries = static_cast<int>(strtol(argv[i] + 17, nullptr, 10));
-    } else if (strncmp(argv[i], "--hang-timeout=", 15) == 0) {
-      hang_timeout_ms = static_cast<int>(strtol(argv[i] + 15, nullptr, 10));
-    } else if (strncmp(argv[i], "--quarantine=", 13) == 0) {
-      quarantine_path = argv[i] + 13;
-    } else if (strncmp(argv[i], "--journal=", 10) == 0) {
-      journal_path = argv[i] + 10;
-    } else if (strncmp(argv[i], "--replay-quarantine=", 20) == 0) {
-      replay_quarantine = argv[i] + 20;
-    } else if (strncmp(argv[i], "--test-crash-at=", 16) == 0) {
-      test_crash_at = strtoull(argv[i] + 16, nullptr, 10);
-    } else if (strncmp(argv[i], "--test-crash-mode=", 18) == 0) {
-      test_crash_mode = static_cast<int>(strtol(argv[i] + 18, nullptr, 10));
-    } else if (strncmp(argv[i], "--test-crash-marker=", 20) == 0) {
-      test_crash_marker = argv[i] + 20;
+    } else if (strncmp(arg, "--worker-retries=", 17) == 0) {
+      worker_retries = ParseInt(arg, arg + 17);
+    } else if (strncmp(arg, "--hang-timeout=", 15) == 0) {
+      hang_timeout_ms = ParseInt(arg, arg + 15);
+    } else if (strncmp(arg, "--quarantine=", 13) == 0) {
+      quarantine_path = arg + 13;
+    } else if (strncmp(arg, "--journal=", 10) == 0) {
+      journal_path = arg + 10;
+    } else if (strncmp(arg, "--replay-quarantine=", 20) == 0) {
+      replay_quarantine = arg + 20;
+    } else if (strncmp(arg, "--test-crash-at=", 16) == 0) {
+      test_crash_at = ParseU64(arg, arg + 16);
+    } else if (strncmp(arg, "--test-crash-mode=", 18) == 0) {
+      test_crash_mode = ParseInt(arg, arg + 18);
+    } else if (strncmp(arg, "--test-crash-marker=", 20) == 0) {
+      test_crash_marker = arg + 20;
+    } else if (arg[0] == '-') {
+      UsageError(arg, "unknown flag");
     } else if (npos < 2) {
-      positional[npos++] = strtoull(argv[i], nullptr, 10);
+      positional[npos++] = ParseU64(arg, arg);
+    } else {
+      UsageError(arg, "unexpected argument (at most [iterations] [seed])");
     }
   }
 
@@ -192,7 +253,6 @@ int main(int argc, char** argv) {
   options.stop_after = stop_after;
   options.jobs = jobs;
   options.verdict_cache = verdict_cache;
-  options.canonical_cache = canonical_cache && verdict_cache;
   options.interp_engine = interp_engine;
   options.jit_oracle = jit_oracle;
   if (conformance_dir != nullptr) {
@@ -247,18 +307,12 @@ int main(int argc, char** argv) {
     printf("  fault injection: p=%.3f on %d kernel fault points\n",
            options.fault.probability, bpf::kNumFaultPoints);
   }
-  // Passing --jobs (even --jobs=1) opts into the parallel engine; this is what
-  // lets a checkpoint taken at --jobs=8 resume at --jobs=1 (serial and
-  // parallel checkpoints are intentionally incompatible — different RNG
-  // models — so the engines never mix).
-  const bool parallel_engine = jobs_given || jobs > 1;
   if (supervise) {
     printf("  supervised engine: %d worker process(es), epoch length %" PRIu64
            ", %d retries, %d ms hang timeout\n",
            jobs, options.epoch_len, options.worker_retries, options.hang_timeout_ms);
-  } else if (parallel_engine) {
-    printf("  parallel engine: %d jobs, epoch length %" PRIu64 "\n", jobs,
-           options.epoch_len);
+  } else {
+    printf("  epoch engine: %d job(s), epoch length %" PRIu64 "\n", jobs, options.epoch_len);
   }
 
   StructuredGenerator generator(options.version);
@@ -266,11 +320,8 @@ int main(int argc, char** argv) {
   if (supervise) {
     SupervisedFuzzer fuzzer(generator, options);
     stats = fuzzer.Run();
-  } else if (parallel_engine) {
-    ParallelFuzzer fuzzer(generator, options);
-    stats = fuzzer.Run();
   } else {
-    Fuzzer fuzzer(generator, options);
+    ParallelFuzzer fuzzer(generator, options);
     stats = fuzzer.Run();
   }
 
@@ -296,11 +347,6 @@ int main(int argc, char** argv) {
     printf("  verdict cache:   %" PRIu64 " hits / %" PRIu64 " misses (%.1f%% hit rate)\n",
            stats.verdict_cache_hits, stats.verdict_cache_misses,
            100 * stats.VerdictCacheHitRate());
-  }
-  if (verdict_cache && canonical_cache) {
-    printf("  canonical cache: %" PRIu64 " hits / %" PRIu64 " misses (%.1f%% hit rate)\n",
-           stats.canonical_cache_hits, stats.canonical_cache_misses,
-           100 * stats.CanonicalCacheHitRate());
   }
   if (interp_engine != bpf::ExecEngine::kLegacy) {
     printf("  decode cache:    %" PRIu64 " hits / %" PRIu64 " misses / %" PRIu64

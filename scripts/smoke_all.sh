@@ -124,8 +124,12 @@ if [[ "$ALL_TESTS" != "$TIER1_TESTS" ]]; then
     echo "SMOKE FAIL: $ALL_TESTS tests discovered but only $TIER1_TESTS carry the tier1 label"
     exit 1
 fi
+# List once and grep the captured text: piping ctest straight into `grep -q`
+# lets grep exit at the first match, and under pipefail the SIGPIPE that
+# ctest then takes would read as "suite missing".
+TIER1_LIST="$(ctest --test-dir "$ASAN_DIR" -N -L tier1 2>/dev/null)"
 for SUITE in SupervisorDigestTest JournalTest ParallelInvarianceTest CheckpointTest JitCacheTest JitEngineTest ConformanceCorpusTest AsmRoundTripTest; do
-    if ! ctest --test-dir "$ASAN_DIR" -N -L tier1 2>/dev/null | grep -q "$SUITE"; then
+    if ! grep -q "$SUITE" <<< "$TIER1_LIST"; then
         echo "SMOKE FAIL: load-bearing suite $SUITE not discovered under the tier1 label"
         exit 1
     fi

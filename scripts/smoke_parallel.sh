@@ -32,8 +32,7 @@ declare -A DIGESTS
 for JOBS in 1 2 4; do
     echo
     echo "== campaign at --jobs=$JOBS (TSan) =="
-    # An explicit --jobs (even =1) selects the parallel engine, so all three
-    # legs run the same determinism model and every digest must match.
+    # Every leg runs the one epoch engine, so every digest must match.
     "$CAMPAIGN" "$ITERATIONS" "$SEED" --fault-rate=0.1 --confirm-runs=2 \
         --verdict-cache=on --jobs="$JOBS" --smoke | tee "$WORK/jobs$JOBS.log"
     DIGESTS[$JOBS]="$(grep '^parallel-invariance-digest ' "$WORK/jobs$JOBS.log" | awk '{print $2}')"
@@ -47,7 +46,7 @@ for JOBS in 2 4; do
     fi
 done
 
-# Direct cross-job digest comparison of the parallel engine's own campaigns.
+# Direct cross-job digest comparison of the campaigns themselves.
 echo "== direct jobs=1 vs jobs=2 vs jobs=4 campaign digest comparison =="
 D1="$(grep '^campaign-digest ' "$WORK/jobs1.log" | awk '{print $2}')"
 D2="$(grep '^campaign-digest ' "$WORK/jobs2.log" | awk '{print $2}')"

@@ -1,8 +1,7 @@
 // Offset-preserving program surgery, the kernel's bpf_patch_insn_data shape:
 // insert or delete one instruction while re-linking every branch and
 // pseudo-call whose span crosses the edit point. Shared by the structured
-// generator's duplication mutation, reproducer minimization, and the
-// canonicalizer's strip passes.
+// generator's duplication mutation and reproducer minimization.
 
 #ifndef SRC_ANALYSIS_PATCH_H_
 #define SRC_ANALYSIS_PATCH_H_

@@ -101,13 +101,8 @@ std::string FingerprintOptions(const CampaignOptions& options, const std::string
 
 std::string ValidateCheckpointCompat(const CampaignCheckpoint& checkpoint,
                                      const CampaignOptions& options,
-                                     const std::string& tool, const std::string& engine) {
-  if (checkpoint.engine != engine) {
-    return "checkpoint engine mismatch: checkpoint was written by the '" +
-           checkpoint.engine + "' engine, this campaign runs the '" + engine +
-           "' engine (their RNG models are incompatible)";
-  }
-  if (engine == kEngineParallel && checkpoint.epoch_len != options.epoch_len) {
+                                     const std::string& tool) {
+  if (checkpoint.epoch_len != options.epoch_len) {
     return "checkpoint epoch_len mismatch: checkpoint used " +
            std::to_string(checkpoint.epoch_len) + ", this campaign uses " +
            std::to_string(options.epoch_len) +
@@ -143,8 +138,6 @@ int SaveCheckpoint(const std::string& path, const CampaignCheckpoint& checkpoint
   // stay digest-comparable).
   os << "vcache " << checkpoint.stats.verdict_cache_hits << " "
      << checkpoint.stats.verdict_cache_misses << "\n";
-  os << "ccache " << checkpoint.stats.canonical_cache_hits << " "
-     << checkpoint.stats.canonical_cache_misses << "\n";
   os << "dcache " << checkpoint.stats.decode_cache_hits << " "
      << checkpoint.stats.decode_cache_misses << " "
      << checkpoint.stats.decode_cache_evictions << "\n";
@@ -248,7 +241,7 @@ int LoadCheckpoint(const std::string& path, CampaignCheckpoint* out, std::string
   std::getline(is, magic_line);  // already validated above
   CampaignCheckpoint cp;
   {
-    // fingerprint <options-hash> engine=<serial|parallel> epoch=<n>
+    // fingerprint <options-hash> engine=parallel epoch=<n>
     std::istringstream ss(reader.Line("fingerprint"));
     std::string engine_field;
     std::string epoch_field;
@@ -263,8 +256,10 @@ int LoadCheckpoint(const std::string& path, CampaignCheckpoint* out, std::string
       if (endp == nullptr || *endp != '\0') {
         reader.Fail("malformed epoch field on fingerprint line");
       }
-      if (cp.engine != kEngineSerial && cp.engine != kEngineParallel) {
-        reader.Fail("unknown engine '" + cp.engine + "' on fingerprint line");
+      if (cp.engine != kEngineParallel) {
+        reader.Fail("unsupported engine '" + cp.engine +
+                    "' on fingerprint line (only engine=parallel checkpoints resume; "
+                    "the serial engine was removed)");
       }
     }
   }
@@ -286,11 +281,10 @@ int LoadCheckpoint(const std::string& path, CampaignCheckpoint* out, std::string
   const std::vector<int64_t> vcache = reader.Fields("vcache", 2);
   cp.stats.verdict_cache_hits = static_cast<uint64_t>(vcache[0]);
   cp.stats.verdict_cache_misses = static_cast<uint64_t>(vcache[1]);
-  // Optional (checkpoints predating the canonical cache level lack it).
+  // Optional and ignored: the removed canonical verdict-cache level's
+  // counters, present in checkpoints written before its removal.
   if (reader.PeekTag() == "ccache") {
-    const std::vector<int64_t> ccache = reader.Fields("ccache", 2);
-    cp.stats.canonical_cache_hits = static_cast<uint64_t>(ccache[0]);
-    cp.stats.canonical_cache_misses = static_cast<uint64_t>(ccache[1]);
+    reader.Fields("ccache", 2);
   }
   const std::vector<int64_t> dcache = reader.Fields("dcache", 3);
   cp.stats.decode_cache_hits = static_cast<uint64_t>(dcache[0]);

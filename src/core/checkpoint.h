@@ -1,20 +1,24 @@
 // Campaign checkpoint/resume (DESIGN.md §8.4, §12.4): serializes everything
-// the fuzz loop needs to continue bit-identically — RNG position, corpus,
-// stats (including findings and the coverage curve), and the global coverage
-// hit set — into a line-oriented text file written atomically (tmp + fsync +
-// rename), with a whole-file checksum trailer so a torn or corrupted file is
-// rejected with a clear error instead of silently misparsing.
+// the epoch engine needs to continue bit-identically — next iteration,
+// corpus, stats (including findings and the coverage curve), and the global
+// coverage hit set — into a line-oriented text file written atomically
+// (tmp + fsync + rename), with a whole-file checksum trailer so a torn or
+// corrupted file is rejected with a clear error instead of silently
+// misparsing.
 //
 // Format v2 ("bvf-checkpoint v2"). The fingerprint line carries the campaign
 // compatibility contract as separate fields:
 //
-//   fingerprint <options-hash> engine=<serial|parallel> epoch=<n>
+//   fingerprint <options-hash> engine=parallel epoch=<n>
 //
-// so a rejected resume can say *which* field mismatched (engine, epoch
-// length, or the campaign options behind the hash) rather than a generic
-// failure. The supervised engine (src/core/supervisor) writes engine=parallel
-// — its checkpoints are interchangeable with in-process --jobs N checkpoints
-// by construction (same epoch-shard discipline, same merge order).
+// so a rejected resume can say *which* field mismatched (epoch length or the
+// campaign options behind the hash) rather than a generic failure. Both
+// engines (in-process ParallelFuzzer and the supervised engine in
+// src/core/supervisor) write engine=parallel: their checkpoints are
+// interchangeable by construction (same epoch-shard discipline, same merge
+// order). Files tagged engine=serial came from the removed single-stream
+// engine, whose RNG position means nothing to per-iteration seeds; the loader
+// refuses them with an error naming the engine field.
 
 #ifndef SRC_CORE_CHECKPOINT_H_
 #define SRC_CORE_CHECKPOINT_H_
@@ -28,17 +32,17 @@
 
 namespace bvf {
 
-// Engine tags stored on the fingerprint line. Serial and parallel checkpoints
-// are not interchangeable: the serial engine's RNG stream position has no
-// meaning for per-iteration seeds and vice versa.
-inline constexpr char kEngineSerial[] = "serial";
+// The engine tag stored on the fingerprint line; the only one the loader
+// accepts.
 inline constexpr char kEngineParallel[] = "parallel";
 
 struct CampaignCheckpoint {
   uint64_t next_iteration = 1;  // first iteration the resumed run executes
   std::string fingerprint;      // FingerprintOptions() of the saving campaign
-  std::string engine = kEngineSerial;  // kEngineSerial | kEngineParallel
-  uint64_t epoch_len = 0;       // parallel engines only; 0 for serial
+  std::string engine = kEngineParallel;
+  uint64_t epoch_len = 0;
+  // Kept for format v2 compatibility; per-iteration seeds leave no stream
+  // position, so writers store zeros.
   std::array<uint64_t, 4> rng_state = {};
   std::vector<FuzzCase> corpus;
   CampaignStats stats;
@@ -55,12 +59,12 @@ std::string FingerprintOptions(const CampaignOptions& options, const std::string
 
 // Field-wise compatibility check between a loaded checkpoint and the resuming
 // campaign. Returns "" when the checkpoint can be resumed bit-identically;
-// otherwise a message naming the first mismatching field (engine, epoch_len,
-// or the options fingerprint). Call this before touching any RNG, stats,
-// corpus, or coverage state.
+// otherwise a message naming the first mismatching field (epoch_len or the
+// options fingerprint). Call this before touching any stats, corpus, or
+// coverage state.
 std::string ValidateCheckpointCompat(const CampaignCheckpoint& checkpoint,
                                      const CampaignOptions& options,
-                                     const std::string& tool, const std::string& engine);
+                                     const std::string& tool);
 
 // Returns 0 or a negative errno. The file appears atomically (tmp + fsync +
 // rename), so a kill mid-write can never leave a half-written checkpoint.

@@ -6,11 +6,9 @@
 #include <cstring>
 #include <iterator>
 
-#include "src/analysis/canonicalize.h"
 #include "src/analysis/state_audit.h"
 #include "src/conformance/corpus.h"
 #include "src/conformance/runner.h"
-#include "src/core/checkpoint.h"
 #include "src/core/metamorph/metamorph.h"
 #include "src/core/metamorph/transform.h"
 #include "src/core/metamorph/witness.h"
@@ -21,8 +19,6 @@
 #include "src/sanitizer/asan_funcs.h"
 
 namespace bvf {
-
-using bpf::Coverage;
 
 const char* CaseOutcomeName(CaseOutcome outcome) {
   switch (outcome) {
@@ -191,16 +187,6 @@ void CaseRunner::ConfigureSubstrate(Substrate& sub, Sanitizer* sanitizer, bool c
     // Confirmation substrates stay uncached: a confirmation run must exercise
     // the real verifier, and its stats are thrown away anyway.
     sub.bpf.set_verdict_cache(verdict_shard_, &sanitizer_);
-    if (options_.canonical_cache) {
-      // The ld_imm64 fold is the one canonicalization bug #13 breaks — its
-      // whole premise is that the verifier treats the two constant spellings
-      // differently — so it is disabled when that bug is armed.
-      bvf::CanonicalizeOptions canon_options;
-      canon_options.fold_ld_imm64 = !options_.bugs.bug13_ld_imm64_pessimize;
-      sub.bpf.set_canonicalizer([canon_options](const bpf::Program& prog) {
-        return Canonicalize(prog, canon_options);
-      });
-    }
   }
   if (campaign && decode_shard_ != nullptr) {
     sub.bpf.set_decode_cache(decode_shard_);
@@ -410,9 +396,10 @@ CaseRunner::CaseResult CaseRunner::RunOne(const FuzzCase& the_case, uint64_t ite
   Substrate& sub = EnsureSubstrate();
   CaseResult result;
 
-  // Per-case fault schedule, seeded independently of the campaign RNG stream
-  // (FaultSeed mixes the campaign seed with the iteration), so fault decisions
-  // neither perturb generation nor drift across checkpoint/resume.
+  // Per-case fault schedule, seeded independently of case generation
+  // (FaultSeed and CaseSeed mix the campaign seed with the iteration through
+  // different constants), so fault decisions neither perturb generation nor
+  // drift across checkpoint/resume.
   std::unique_ptr<bpf::FaultInjector> injector;
   if (options_.fault.Active()) {
     injector = std::make_unique<bpf::FaultInjector>(
@@ -525,7 +512,7 @@ void CaseRunner::ConfirmFinding(Finding& finding, const FuzzCase& the_case,
   }
   // Coverage is process-global; confirmation re-executions must not feed the
   // campaign's corpus-growth or curve accounting. In a worker thread this
-  // mutes the thread's sink; single-threaded it disables the global recorder.
+  // mutes the thread's sink; without a sink it disables the global recorder.
   bpf::ScopedCoverageSuppress suppress;
 
   if (finding.indicator == 5) {
@@ -593,179 +580,6 @@ void CaseRunner::ConfirmFinding(Finding& finding, const FuzzCase& the_case,
     finding.confirm_hits = clean_hits;
     finding.confirm_runs = k;
   }
-}
-
-Fuzzer::Fuzzer(Generator& generator, CampaignOptions options)
-    : generator_(generator), options_(std::move(options)) {}
-
-Fuzzer::~Fuzzer() = default;
-
-void Fuzzer::RunCase(FuzzCase& the_case, CampaignStats& stats, uint64_t iteration) {
-  // Instruction-mix statistics over the as-generated program.
-  AccumulateInsnMix(the_case, stats);
-
-  const CaseRunner::CaseResult result = runner_->RunOne(the_case, iteration);
-  AccumulateCaseCounters(result, stats);
-
-  for (Finding finding : result.findings) {
-    if (stats.finding_signatures.insert(finding.signature).second) {
-      if (options_.confirm_runs > 0) {
-        runner_->ConfirmFinding(finding, the_case, iteration, result.fault_log);
-      }
-      stats.findings.push_back(std::move(finding));
-    }
-  }
-}
-
-CampaignStats Fuzzer::Run() {
-  CampaignStats stats;
-  stats.tool = generator_.name();
-  stats.options = options_;
-  corpus_.clear();
-  runner_ = std::make_unique<CaseRunner>(options_);
-
-  // The serial engine can use the verdict cache in immediate mode: each
-  // iteration sees every earlier iteration's verdicts, and since a cache hit
-  // is digest-invisible this preserves the legacy campaign bit-for-bit.
-  bpf::VerdictCache cache;
-  bpf::VerdictCacheShard shard(cache, /*immediate=*/true);
-  if (options_.verdict_cache) {
-    runner_->set_verdict_shard(&shard);
-  }
-
-  // Decode cache, same immediate-mode reasoning: a decode-cache hit returns
-  // the identical DecodedProgram the miss path would have produced (the
-  // digest pins the verifier-rewritten program bytes), so reuse is invisible.
-  bpf::DecodeCache dcache;
-  bpf::DecodeCacheShard dshard(dcache, /*immediate=*/true);
-  if (options_.interp_engine != bpf::ExecEngine::kLegacy) {
-    runner_->set_decode_shard(&dshard);
-  }
-
-  // JIT code cache, same discipline again: a hit returns the identical native
-  // blob a fresh compile of the digest-pinned program would produce.
-  bpf::JitCache jcache;
-  bpf::JitCacheShard jshard(jcache, /*immediate=*/true);
-  if (options_.interp_engine == bpf::ExecEngine::kJit && bpf::JitAvailable()) {
-    runner_->set_jit_shard(&jshard);
-  }
-
-  bpf::Rng rng(options_.seed);
-  uint64_t start_iteration = 1;
-  const std::string fingerprint = FingerprintOptions(options_, stats.tool);
-
-  if (!options_.resume_path.empty()) {
-    CampaignCheckpoint cp;
-    std::string error;
-    if (LoadCheckpoint(options_.resume_path, &cp, &error) != 0) {
-      stats.resume_error = error.empty() ? "checkpoint load failed" : error;
-      return stats;
-    }
-    // Validate the full fingerprint line (engine, then options hash) before
-    // touching any RNG/stats/corpus/coverage state, and report which field
-    // mismatched — a rejected resume must leave the campaign untouched.
-    const std::string mismatch =
-        ValidateCheckpointCompat(cp, options_, stats.tool, kEngineSerial);
-    if (!mismatch.empty()) {
-      stats.resume_error = mismatch;
-      return stats;
-    }
-    stats = std::move(cp.stats);
-    stats.options = options_;
-    stats.tool = generator_.name();
-    corpus_ = std::move(cp.corpus);
-    rng.RestoreState(cp.rng_state);
-    Coverage::Get().ResetHits();
-    Coverage::Get().RestoreHitKeys(cp.coverage_keys);
-    runner_->sanitizer().RestoreStats(stats.sanitizer);
-    start_iteration = cp.next_iteration;
-    stats.resumed_from = start_iteration;
-  } else if (options_.reset_coverage) {
-    Coverage::Get().ResetHits();
-  }
-
-  // Conformance prologue before iteration 1. Resumed campaigns skip it: its
-  // findings and corpus seeds are already inside the checkpoint (and the
-  // fingerprint pins the directory, so the corpus cannot silently change).
-  if (options_.resume_path.empty() && !options_.conformance_dir.empty() &&
-      !RunConformancePrologue(options_, stats, &corpus_)) {
-    runner_.reset();
-    return stats;
-  }
-
-  // Evictions restored from a checkpoint happened in a previous process; this
-  // process's cache starts empty, so the running total is base + local.
-  const uint64_t base_decode_evictions = stats.decode_cache_evictions;
-  const uint64_t base_jit_evictions = stats.jit_cache_evictions;
-
-  const uint64_t sample_every =
-      options_.coverage_points > 0
-          ? std::max<uint64_t>(1, options_.iterations / options_.coverage_points)
-          : 0;
-  const uint64_t last_iteration =
-      options_.stop_after != 0 ? std::min(options_.stop_after, options_.iterations)
-                               : options_.iterations;
-
-  const auto save_checkpoint = [&](uint64_t next_iteration) {
-    CampaignCheckpoint cp;
-    cp.next_iteration = next_iteration;
-    cp.fingerprint = fingerprint;
-    cp.engine = kEngineSerial;
-    cp.epoch_len = 0;  // no epochs: the RNG stream position is the state
-    cp.rng_state = rng.SaveState();
-    cp.corpus = corpus_;
-    cp.stats = stats;
-    cp.stats.sanitizer = runner_->sanitizer().stats();
-    cp.stats.final_coverage = Coverage::Get().hit_count();
-    cp.coverage_keys = Coverage::Get().SerializeHitKeys();
-    SaveCheckpoint(options_.checkpoint_path, cp);
-  };
-
-  for (uint64_t i = start_iteration; i <= last_iteration; ++i) {
-    Coverage::Get().MarkRun();
-
-    FuzzCase the_case;
-    if (options_.coverage_feedback && !corpus_.empty() && rng.Chance(0.4)) {
-      the_case = rng.Pick(corpus_);
-      generator_.Mutate(rng, the_case);
-    } else {
-      the_case = generator_.Generate(rng);
-    }
-
-    RunCase(the_case, stats, i);
-    stats.verdict_cache_hits += shard.TakeHits();
-    stats.verdict_cache_misses += shard.TakeMisses();
-    stats.canonical_cache_hits += shard.TakeCanonicalHits();
-    stats.canonical_cache_misses += shard.TakeCanonicalMisses();
-    stats.decode_cache_hits += dshard.TakeHits();
-    stats.decode_cache_misses += dshard.TakeMisses();
-    stats.decode_cache_evictions = base_decode_evictions + dcache.evictions();
-    stats.jit_cache_hits += jshard.TakeHits();
-    stats.jit_cache_misses += jshard.TakeMisses();
-    stats.jit_cache_evictions = base_jit_evictions + jcache.evictions();
-
-    if (options_.coverage_feedback && Coverage::Get().NewSinceMark() > 0 &&
-        corpus_.size() < 512) {
-      corpus_.push_back(the_case);
-    }
-    if (sample_every != 0 && i % sample_every == 0) {
-      stats.curve.push_back(CoveragePoint{i, Coverage::Get().hit_count()});
-    }
-    ++stats.iterations;
-
-    if (!options_.checkpoint_path.empty() && options_.checkpoint_every != 0 &&
-        i % options_.checkpoint_every == 0 && i != last_iteration) {
-      save_checkpoint(i + 1);
-    }
-  }
-
-  stats.final_coverage = Coverage::Get().hit_count();
-  stats.sanitizer = runner_->sanitizer().stats();
-  if (!options_.checkpoint_path.empty()) {
-    save_checkpoint(last_iteration + 1);
-  }
-  runner_.reset();
-  return stats;
 }
 
 bool RunConformancePrologue(const CampaignOptions& options, CampaignStats& stats,

@@ -3,12 +3,12 @@
 // convert kernel reports into correctness-bug findings via the oracle.
 // Coverage feedback preserves interesting programs for mutation.
 //
-// Two engines share the per-case machinery (CaseRunner):
-//  * Fuzzer — the original single-threaded loop: one RNG stream threaded
-//    through all iterations, immediate corpus growth and coverage commits.
-//  * ParallelFuzzer (src/core/parallel.h) — sharded workers with
-//    iteration-derived seeds and epoch-barrier merges; bit-identical results
-//    for any job count.
+// This header holds the campaign vocabulary (options, stats, outcomes) and
+// the per-case machinery (CaseRunner). The engines that drive it are
+// ParallelFuzzer (src/core/parallel.h: in-process worker threads, jobs=1 by
+// default) and SupervisedFuzzer (src/core/supervisor: worker processes); both
+// run the epoch-shard discipline of src/core/epoch.h, so their results are
+// bit-identical for any job count.
 
 #ifndef SRC_CORE_FUZZER_H_
 #define SRC_CORE_FUZZER_H_
@@ -53,7 +53,7 @@ struct CampaignOptions {
   // -- Robustness engine (DESIGN.md §8) --
   // Kernel fault injection (failslab/fail_function model). Each case gets a
   // fresh injector seeded from FaultSeed(seed, iteration), so schedules are
-  // independent of the campaign RNG stream and survive checkpoint/resume.
+  // independent of the case-generation seeds and survive checkpoint/resume.
   bpf::FaultConfig fault;
   // Per-invocation execution guards (step budget, wall watchdog, call depth).
   bpf::ExecLimits limits;
@@ -67,7 +67,8 @@ struct CampaignOptions {
   // pre-robustness behaviour of one substrate per case.
   bool reuse_substrate = true;
   // Campaign checkpointing: serialize resumable state to |checkpoint_path|
-  // every |checkpoint_every| iterations (and at completion).
+  // at the first epoch barrier past each multiple of |checkpoint_every|
+  // (and at completion).
   std::string checkpoint_path;
   uint64_t checkpoint_every = 0;
   // Resume a previous campaign from this checkpoint file.
@@ -75,11 +76,12 @@ struct CampaignOptions {
   // Deterministic simulated kill: stop after this absolute iteration
   // (0 = run to |iterations|). Checkpoint accounting stays identical to an
   // uninterrupted run, which is what makes resume bit-identity testable.
-  // The parallel engine rounds up to the end of the containing epoch.
+  // Rounded up to the end of the containing epoch.
   uint64_t stop_after = 0;
 
-  // -- Parallel engine (DESIGN.md §9; ParallelFuzzer only) --
-  // Worker threads. The result is bit-identical for every value ≥ 1.
+  // -- Epoch engine (DESIGN.md §9) --
+  // Worker threads (or processes, supervised). The result is bit-identical
+  // for every value ≥ 1.
   int jobs = 1;
   // Iterations per synchronization epoch: the grain at which coverage,
   // corpus, findings, and the verdict cache merge. Part of the campaign's
@@ -89,12 +91,6 @@ struct CampaignOptions {
   // Digest-keyed verifier-verdict cache (src/runtime/verdict_cache.h).
   // On/off is invisible in the StatsDigest; only the hit/miss counters move.
   bool verdict_cache = false;
-  // Canonical verdict-cache level (DESIGN.md §13): on a raw miss, the program
-  // is canonicalized (src/analysis/canonicalize.h) and a committed rejection
-  // for any alpha-equivalent spelling is served without re-verification.
-  // Requires |verdict_cache|; same digest discipline — only the
-  // canonical_cache_* counters move.
-  bool canonical_cache = false;
   // Dirty-tracked arena reset (src/kernel/kasan.h): ResetCaseState rewrites
   // only the pages the case touched instead of the whole arena. Byte-for-byte
   // identical to the full rewind (BVF_PARANOID_RESET cross-checks), so it is
@@ -226,13 +222,9 @@ struct CampaignStats {
   uint64_t fault_injected = 0;     // fault-point failures actually injected
 
   // Verdict-cache accounting (deterministic for any job count, but excluded
-  // from StatsDigest so cache on/off campaigns stay digest-comparable). The
-  // canonical counters partition the raw misses: every load that misses the
-  // raw level either hits or misses the canonical one (when enabled).
+  // from StatsDigest so cache on/off campaigns stay digest-comparable).
   uint64_t verdict_cache_hits = 0;
   uint64_t verdict_cache_misses = 0;
-  uint64_t canonical_cache_hits = 0;
-  uint64_t canonical_cache_misses = 0;
 
   // Decode-cache accounting (decoded engine only). Same digest discipline as
   // the verdict-cache counters: deterministic for any job count, excluded
@@ -316,11 +308,6 @@ struct CampaignStats {
     return total == 0 ? 0.0
                       : static_cast<double>(verdict_cache_hits) / static_cast<double>(total);
   }
-  double CanonicalCacheHitRate() const {
-    const uint64_t total = canonical_cache_hits + canonical_cache_misses;
-    return total == 0 ? 0.0
-                      : static_cast<double>(canonical_cache_hits) / static_cast<double>(total);
-  }
   double DecodeCacheHitRate() const {
     const uint64_t total = decode_cache_hits + decode_cache_misses;
     return total == 0 ? 0.0
@@ -336,12 +323,11 @@ struct CampaignStats {
   uint64_t FoundAtIteration(KnownBug bug) const;
 };
 
-// One simulated machine plus the per-case drive/classify/confirm logic,
-// shared by both campaign engines. A CaseRunner is single-owner state: the
-// serial engine holds one, each parallel worker holds its own (substrates
-// are private; the only cross-runner state is the process-global Coverage
-// registry and the epoch-frozen verdict cache, both handled by their own
-// synchronization disciplines).
+// One simulated machine plus the per-case drive/classify/confirm logic. A
+// CaseRunner is single-owner state: each epoch worker (thread or process)
+// holds its own (substrates are private; the only cross-runner state is the
+// process-global Coverage registry and the epoch-frozen verdict cache, both
+// handled by their own synchronization disciplines).
 class CaseRunner {
  public:
   explicit CaseRunner(const CampaignOptions& options);
@@ -426,24 +412,7 @@ class CaseRunner {
   std::unique_ptr<MetamorphOracle> metamorph_;  // non-null iff options.metamorph
 };
 
-class Fuzzer {
- public:
-  Fuzzer(Generator& generator, CampaignOptions options);
-  ~Fuzzer();
-
-  CampaignStats Run();
-
- private:
-  void RunCase(FuzzCase& the_case, CampaignStats& stats, uint64_t iteration);
-
-  Generator& generator_;
-  CampaignOptions options_;
-  std::vector<FuzzCase> corpus_;
-  std::unique_ptr<CaseRunner> runner_;
-};
-
-// Folds one case's instruction-mix statistics into |stats| (shared by both
-// engines so the accounting cannot drift).
+// Folds one case's instruction-mix statistics into |stats|.
 void AccumulateInsnMix(const FuzzCase& the_case, CampaignStats& stats);
 
 // Folds a CaseResult's order-independent counters (accept/reject, errno

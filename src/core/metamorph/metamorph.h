@@ -10,8 +10,8 @@
 //
 // Variant derivation depends only on (campaign seed, program identity,
 // variant index) — never on the iteration, worker, or engine — so the same
-// program yields the same variants in the serial loop, any --jobs shard,
-// either interpreter, after resume, and in the repro/minimize replay path.
+// program yields the same variants in any --jobs shard, either interpreter,
+// after resume, and in the repro/minimize replay path.
 
 #ifndef SRC_CORE_METAMORPH_METAMORPH_H_
 #define SRC_CORE_METAMORPH_METAMORPH_H_
@@ -27,7 +27,7 @@ namespace bvf {
 
 // Seed for variant k of a program (splitmix64 over the campaign seed, the
 // program's FNV identity, and the variant index; mirrors bpf::FaultSeed so
-// metamorph decisions never consume a campaign RNG stream).
+// metamorph decisions never consume a case's generation RNG).
 inline uint64_t MetamorphSeed(uint64_t campaign_seed, uint64_t program_fnv,
                               int variant) {
   uint64_t z = campaign_seed ^ (program_fnv * 0x9e3779b97f4a7c15ull) ^

@@ -64,7 +64,7 @@ struct Finding {
   KnownBug triaged = KnownBug::kUnknown;
   uint64_t iteration = 0;  // campaign iteration that first triggered it
 
-  // Confirmation pass results (Fuzzer::ConfirmFinding).
+  // Confirmation pass results (CaseRunner::ConfirmFinding).
   Confirmation confirmation = Confirmation::kUnconfirmed;
   int confirm_hits = 0;  // re-executions that reproduced the signature
   int confirm_runs = 0;  // re-executions attempted

@@ -73,11 +73,10 @@ CampaignStats ParallelFuzzer::Run() {
       stats.resume_error = error.empty() ? "checkpoint load failed" : error;
       return stats;
     }
-    // Field-wise validation (engine, epoch_len, options hash) before any
-    // RNG/stats/corpus/coverage state is touched; a rejected resume reports
-    // which field mismatched and leaves the campaign untouched.
-    const std::string mismatch =
-        ValidateCheckpointCompat(cp, options_, stats.tool, kEngineParallel);
+    // Field-wise validation (epoch_len, options hash) before any
+    // stats/corpus/coverage state is touched; a rejected resume reports which
+    // field mismatched and leaves the campaign untouched.
+    const std::string mismatch = ValidateCheckpointCompat(cp, options_, stats.tool);
     if (!mismatch.empty()) {
       stats.resume_error = mismatch;
       return stats;
@@ -220,9 +219,7 @@ CampaignStats ParallelFuzzer::Run() {
     CampaignCheckpoint cp;
     cp.next_iteration = next_iteration;
     cp.fingerprint = fingerprint;
-    cp.engine = kEngineParallel;
     cp.epoch_len = epoch_len;
-    cp.rng_state = {};  // per-iteration seeds; there is no stream position
     cp.corpus = corpus;
     cp.stats = stats;
     cp.stats.final_coverage = Coverage::Get().hit_count();
@@ -266,8 +263,6 @@ CampaignStats ParallelFuzzer::Run() {
       for (WorkerState& worker : workers) {
         stats.verdict_cache_hits += worker.shard->TakeHits();
         stats.verdict_cache_misses += worker.shard->TakeMisses();
-        stats.canonical_cache_hits += worker.shard->TakeCanonicalHits();
-        stats.canonical_cache_misses += worker.shard->TakeCanonicalMisses();
       }
     }
     if (options_.interp_engine != bpf::ExecEngine::kLegacy) {

@@ -1,10 +1,10 @@
-// Parallel sharded campaign engine (DESIGN.md §9).
+// The in-process campaign engine (DESIGN.md §9). jobs=1 (the default) runs
+// one worker thread; more jobs shard the same work across threads.
 //
-// The legacy Fuzzer threads one RNG stream through every iteration, so each
-// case's randomness depends on everything that ran before it — inherently
-// serial. ParallelFuzzer replaces that with per-iteration seeds
+// Every case draws its randomness from a per-iteration seed
 // (CaseSeed(campaign_seed, i), the same construction FaultSeed already uses)
-// and partitions iterations across worker threads in fixed epochs:
+// rather than from one stream threaded through the campaign, and iterations
+// are partitioned across worker threads in fixed epochs:
 //
 //   epoch e = iterations (e*epoch_len, (e+1)*epoch_len]   (absolute numbers)
 //   iteration i in an epoch starting at s runs on worker (i - s) % jobs
@@ -22,7 +22,8 @@
 // (plus the epoch length) on the fingerprint line: an 8-job campaign's
 // checkpoint resumes bit-identically under any other job count (including 1),
 // and supervised (multi-process) checkpoints are interchangeable with
-// in-process ones because both run this same discipline.
+// in-process ones because both run this same discipline. The class keeps its
+// historical name; it is the only in-process engine.
 
 #ifndef SRC_CORE_PARALLEL_H_
 #define SRC_CORE_PARALLEL_H_

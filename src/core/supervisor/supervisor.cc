@@ -72,7 +72,6 @@ struct WorkerProc {
   EpochShardResult out;
   std::vector<std::string> result_keys;
   uint64_t vcache_hits = 0, vcache_misses = 0;
-  uint64_t ccache_hits = 0, ccache_misses = 0;
   uint64_t dcache_hits = 0, dcache_misses = 0, dcache_evictions = 0;
   uint64_t jcache_hits = 0, jcache_misses = 0, jcache_evictions = 0;
   // Failure forensics.
@@ -135,9 +134,6 @@ bool ParseResultPayload(const std::string& payload, WorkerProc* w) {
   const std::vector<int64_t> vc = reader.Fields("vcache", 2);
   w->vcache_hits = static_cast<uint64_t>(vc[0]);
   w->vcache_misses = static_cast<uint64_t>(vc[1]);
-  const std::vector<int64_t> cc = reader.Fields("ccache", 2);
-  w->ccache_hits = static_cast<uint64_t>(cc[0]);
-  w->ccache_misses = static_cast<uint64_t>(cc[1]);
   const std::vector<int64_t> dc = reader.Fields("dcache", 3);
   w->dcache_hits = static_cast<uint64_t>(dc[0]);
   w->dcache_misses = static_cast<uint64_t>(dc[1]);
@@ -252,8 +248,7 @@ CampaignStats SupervisedFuzzer::Run() {
       stats.resume_error = error.empty() ? "checkpoint load failed" : error;
       return stats;
     }
-    const std::string mismatch =
-        ValidateCheckpointCompat(cp, options_, stats.tool, kEngineParallel);
+    const std::string mismatch = ValidateCheckpointCompat(cp, options_, stats.tool);
     if (!mismatch.empty()) {
       stats.resume_error = mismatch;
       return stats;
@@ -489,9 +484,7 @@ CampaignStats SupervisedFuzzer::Run() {
     CampaignCheckpoint cp;
     cp.next_iteration = next_iteration;
     cp.fingerprint = fingerprint;
-    cp.engine = kEngineParallel;
     cp.epoch_len = epoch_len;
-    cp.rng_state = {};  // per-iteration seeds; there is no stream position
     cp.corpus = corpus;
     cp.stats = stats;
     cp.stats.final_coverage = cov_set.size();
@@ -757,8 +750,6 @@ CampaignStats SupervisedFuzzer::Run() {
     for (WorkerProc& w : workers) {
       stats.verdict_cache_hits += w.vcache_hits;
       stats.verdict_cache_misses += w.vcache_misses;
-      stats.canonical_cache_hits += w.ccache_hits;
-      stats.canonical_cache_misses += w.ccache_misses;
       stats.decode_cache_hits += w.dcache_hits;
       stats.decode_cache_misses += w.dcache_misses;
       stats.decode_cache_evictions += w.dcache_evictions;
@@ -766,7 +757,6 @@ CampaignStats SupervisedFuzzer::Run() {
       stats.jit_cache_misses += w.jcache_misses;
       stats.jit_cache_evictions += w.jcache_evictions;
       w.vcache_hits = w.vcache_misses = 0;
-      w.ccache_hits = w.ccache_misses = 0;
       w.dcache_hits = w.dcache_misses = w.dcache_evictions = 0;
       w.jcache_hits = w.jcache_misses = w.jcache_evictions = 0;
     }

@@ -229,8 +229,6 @@ int RunWorkerProcess(Generator& generator, const CampaignOptions& options, int c
       payload << "k " << serialize::Escape(key) << "\n";
     }
     payload << "vcache " << vshard.TakeHits() << " " << vshard.TakeMisses() << "\n";
-    payload << "ccache " << vshard.TakeCanonicalHits() << " "
-            << vshard.TakeCanonicalMisses() << "\n";
     const uint64_t evictions = dcache.evictions();
     payload << "dcache " << dshard.TakeHits() << " " << dshard.TakeMisses() << " "
             << (evictions - last_evictions) << "\n";

@@ -70,7 +70,6 @@ void Coverage::ResetHits() {
   }
   pending_.clear();
   hit_count_.store(0, std::memory_order_relaxed);
-  new_since_mark_.store(0, std::memory_order_relaxed);
   run_trace_len_.store(0, std::memory_order_relaxed);
 }
 

@@ -15,9 +15,8 @@
 // on any number of threads. Two hit-recording modes exist:
 //
 //  * Global mode (default, no sink installed on the thread): Hit() commits
-//    straight into the process-global hit set. This is the single-threaded
-//    campaign / test path; hit_count(), MarkRun()/NewSinceMark() behave as
-//    they always have.
+//    straight into the process-global hit set. This is the test and tooling
+//    path (and the supervisor coordinator's committed set).
 //  * Buffered mode: a worker thread installs a CoverageSink; its hits are
 //    recorded privately (per-case marks + an epoch delta) and only merged
 //    into the global committed set at a synchronization barrier via
@@ -56,8 +55,8 @@ class CoverageSink {
   size_t NewSinceCase() const { return new_since_case_; }
 
   // Suppress recording entirely (finding-confirmation re-executions must not
-  // feed campaign feedback), mirroring Coverage::set_enabled for the
-  // single-threaded path.
+  // feed campaign feedback), mirroring Coverage::set_enabled for threads
+  // without a sink.
   void set_muted(bool muted) { muted_ = muted; }
   bool muted() const { return muted_; }
 
@@ -120,7 +119,6 @@ class Coverage {
     if (slot.load(std::memory_order_relaxed) == 0 &&
         slot.exchange(1, std::memory_order_relaxed) == 0) {
       hit_count_.fetch_add(1, std::memory_order_relaxed);
-      new_since_mark_.fetch_add(1, std::memory_order_relaxed);
     }
     // Load+store, not fetch_add: global-mode hits come from one thread at a
     // time (workers run buffered through sinks), and the trace length is a
@@ -136,8 +134,6 @@ class Coverage {
 
   // Campaign control (global mode).
   void ResetHits();
-  void MarkRun() { new_since_mark_.store(0, std::memory_order_relaxed); }
-  size_t NewSinceMark() const { return new_since_mark_.load(std::memory_order_relaxed); }
 
   // -- Parallel campaign support --
   // Installs |sink| as the calling thread's hit buffer (nullptr restores
@@ -194,15 +190,14 @@ class Coverage {
   std::unique_ptr<std::atomic<uint8_t>[]> hit_;  // committed global hit set
   std::atomic<size_t> site_count_{0};
   std::atomic<size_t> hit_count_{0};
-  std::atomic<size_t> new_since_mark_{0};
   std::atomic<size_t> run_trace_len_{0};
   std::atomic<bool> enabled_{true};
 };
 
 // Suppresses campaign-feedback coverage recording on the current thread for
 // the scope's lifetime: mutes the installed sink if one exists (worker
-// thread), otherwise disables the global registry (legacy single-threaded
-// confirmation path).
+// thread), otherwise disables the global registry (a thread without a
+// sink).
 inline void CoverageSink::Record(int site, const Coverage& cov) {
   if (muted_) {
     return;

@@ -92,7 +92,7 @@ class FaultInjector {
 
 // Deterministic per-iteration seed derivation (splitmix64 over the campaign
 // seed and iteration), so fault schedules survive checkpoint/resume without
-// consuming the campaign RNG stream.
+// consuming the case-generation RNG.
 inline uint64_t FaultSeed(uint64_t campaign_seed, uint64_t iteration) {
   uint64_t z = campaign_seed ^ (iteration * 0x9e3779b97f4a7c15ull);
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;

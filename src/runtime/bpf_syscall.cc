@@ -145,43 +145,15 @@ int Bpf::ProgLoad(const Program& prog, VerifierResult* result_out) {
         cache_sanitizer_->Credit(cached->san_delta);
       }
     } else {
-      // Canonical level: alpha-equivalent spellings (register renames, nop
-      // padding, jump relayout, const rematerialization — the DESIGN.md §11
-      // transform classes) share one canonical digest. Only committed
-      // REJECTIONS are served: a rejection returns below before any substrate
-      // effect, its sanitizer delta is zero by construction (instrumentation
-      // runs after DoCheck passes), and its verdict is spelling-invariant —
-      // which is not true of an acceptance's rewritten program.
-      const CachedVerdict* canon = nullptr;
-      VerdictKey canon_key{};
-      if (canonicalize_) {
-        canon_key = MakeVerdictKey(canonicalize_(prog), kernel_,
-                                   static_cast<bool>(instrument_),
-                                   env.collect_state_claims);
-        canon = verdict_cache_->LookupCanonical(canon_key);
+      const bvf::SanitizerStats before =
+          cache_sanitizer_ != nullptr ? cache_sanitizer_->stats() : bvf::SanitizerStats{};
+      result = VerifyProgram(prog, env);
+      CachedVerdict fresh;
+      fresh.result = result;
+      if (cache_sanitizer_ != nullptr) {
+        fresh.san_delta = cache_sanitizer_->stats().Since(before);
       }
-      if (canon != nullptr) {
-        result = canon->result;
-        // Promote to the raw level so textual repeats of this spelling skip
-        // canonicalization in later epochs.
-        verdict_cache_->Insert(key, CachedVerdict{result, canon->san_delta});
-        if (cache_sanitizer_ != nullptr) {
-          cache_sanitizer_->Credit(canon->san_delta);
-        }
-      } else {
-        const bvf::SanitizerStats before =
-            cache_sanitizer_ != nullptr ? cache_sanitizer_->stats() : bvf::SanitizerStats{};
-        result = VerifyProgram(prog, env);
-        CachedVerdict fresh;
-        fresh.result = result;
-        if (cache_sanitizer_ != nullptr) {
-          fresh.san_delta = cache_sanitizer_->stats().Since(before);
-        }
-        if (canonicalize_ && result.err != 0) {
-          verdict_cache_->InsertCanonical(canon_key, fresh);
-        }
-        verdict_cache_->Insert(key, std::move(fresh));
-      }
+      verdict_cache_->Insert(key, std::move(fresh));
     }
   } else {
     result = VerifyProgram(prog, env);

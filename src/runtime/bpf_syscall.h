@@ -59,18 +59,6 @@ class Bpf {
     cache_sanitizer_ = sanitizer;
   }
 
-  // Enables the canonical verdict-cache level: on a raw-key miss, ProgLoad
-  // runs |canonicalize| over the program, keys the result, and serves a
-  // committed canonical REJECTION without re-verifying (acceptances always
-  // verify fresh — their results carry spelling-specific rewritten programs).
-  // The hook lives above this layer (src/analysis/canonicalize.h) because the
-  // canonicalizer builds on the analysis library, which links against the
-  // runtime; injecting it keeps the layering acyclic. No-op without a
-  // verdict-cache shard; nullptr disables the level.
-  void set_canonicalizer(std::function<Program(const Program&)> canonicalize) {
-    canonicalize_ = std::move(canonicalize);
-  }
-
   // Selects the execution tier for programs loaded through this facade:
   // kDecoded (the default) lowers the verified, rewritten program into
   // micro-ops once at load; kJit additionally compiles the micro-ops to
@@ -161,7 +149,6 @@ class Bpf {
   ExecLimits exec_limits_;
   VerdictCacheShard* verdict_cache_ = nullptr;
   bvf::Sanitizer* cache_sanitizer_ = nullptr;
-  std::function<Program(const Program&)> canonicalize_;
   DecodeCacheShard* decode_cache_ = nullptr;
   JitCacheShard* jit_cache_ = nullptr;
   ExecEngine engine_ = ExecEngine::kDecoded;

@@ -13,8 +13,9 @@
 //    (CommitShards) while workers are parked — so the insert sequence, the
 //    FIFO eviction sequence, and therefore every later epoch's hit/miss/evict
 //    counters are job-count-invariant;
-//  * a shard in immediate mode (serial engine, supervised worker process)
-//    commits on the spot, which is the jobs=1 ordering by construction;
+//  * a shard in immediate mode (a supervised worker process's private cache)
+//    commits on the spot: hits stay digest-invisible, but its hit/miss
+//    counters depend on how iterations were sharded;
 //  * shard lookups see only the committed store — never the shard's own
 //    pending inserts — keeping the hit/miss sequence identical for every job
 //    count;

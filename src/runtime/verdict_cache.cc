@@ -80,34 +80,24 @@ VerdictKey MakeVerdictKey(const Program& prog, Kernel& kernel, bool instrumented
 void VerdictCache::CommitShards(const std::vector<VerdictCacheShard*>& shards) {
   // Gather (iteration-ordered) so the max_entries cutoff — and therefore the
   // committed set every later epoch looks up against — is independent of how
-  // iterations were sharded across workers. Both levels follow the same
-  // discipline.
-  const auto merge = [this](Store& store, std::vector<VerdictCacheShard::Pending*>& merged) {
-    std::sort(merged.begin(), merged.end(),
-              [](const VerdictCacheShard::Pending* a, const VerdictCacheShard::Pending* b) {
-                return a->iteration < b->iteration;
-              });
-    for (VerdictCacheShard::Pending* pending : merged) {
-      if (store.find(pending->key) == store.end()) {
-        CommitOne(store, pending->key, std::move(pending->verdict));
-      }
-    }
-  };
-  std::vector<VerdictCacheShard::Pending*> raw;
-  std::vector<VerdictCacheShard::Pending*> canon;
+  // iterations were sharded across workers.
+  std::vector<VerdictCacheShard::Pending*> merged;
   for (VerdictCacheShard* shard : shards) {
     for (auto& pending : shard->pending_) {
-      raw.push_back(&pending);
-    }
-    for (auto& pending : shard->pending_canon_) {
-      canon.push_back(&pending);
+      merged.push_back(&pending);
     }
   }
-  merge(committed_, raw);
-  merge(canon_committed_, canon);
+  std::sort(merged.begin(), merged.end(),
+            [](const VerdictCacheShard::Pending* a, const VerdictCacheShard::Pending* b) {
+              return a->iteration < b->iteration;
+            });
+  for (VerdictCacheShard::Pending* pending : merged) {
+    if (committed_.find(pending->key) == committed_.end()) {
+      CommitOne(pending->key, std::move(pending->verdict));
+    }
+  }
   for (VerdictCacheShard* shard : shards) {
     shard->pending_.clear();
-    shard->pending_canon_.clear();
   }
 }
 

@@ -18,23 +18,12 @@
 // and contribute nothing to per-case novelty either way. Cache on/off is
 // therefore invisible in a campaign's StatsDigest.
 //
-// A second, *canonical* level (DESIGN.md §13) catches alpha-equivalent
-// re-derivations the raw level cannot: on a raw miss the loader canonicalizes
-// the program (src/analysis/canonicalize.h) and looks the canonical digest up
-// in a separate committed store. The canonical level serves REJECTIONS ONLY.
-// Rejections are substrate-pure — ProgLoad's reject path returns before any
-// allocation, and sanitizer instrumentation runs only after DoCheck passes,
-// so a served rejection has a zero sanitizer delta and no kernel side effects
-// to replay. Acceptances are never served canonically: the accepted
-// VerifierResult carries the rewritten program, whose instruction stream
-// (and decode-cache lowering) legitimately differs across alpha-equivalent
-// spellings.
-//
 // Concurrency model matches the parallel engine's epoch discipline: the
 // committed maps are read-only between barriers; each worker's shard buffers
 // its inserts and the coordinator merges them (in iteration order, so the
 // entry-cap cutoff is job-count-invariant) while workers are parked. A shard
-// in immediate mode (single-threaded campaigns) commits inserts on the spot.
+// in immediate mode (a supervised worker process's private cache) commits
+// inserts on the spot.
 
 #ifndef SRC_RUNTIME_VERDICT_CACHE_H_
 #define SRC_RUNTIME_VERDICT_CACHE_H_
@@ -98,38 +87,28 @@ class VerdictCache {
     return it == committed_.end() ? nullptr : &it->second;
   }
 
-  // Canonical-level lookup; entries are rejections only (see file comment).
-  const CachedVerdict* LookupCanonical(const VerdictKey& key) const {
-    const auto it = canon_committed_.find(key);
-    return it == canon_committed_.end() ? nullptr : &it->second;
-  }
-
-  // Merges every shard's pending inserts (both levels), ordered by
+  // Merges every shard's pending inserts, ordered by
   // originating iteration so the max_entries cutoff does not depend on the
   // worker sharding, then clears them.
   void CommitShards(const std::vector<VerdictCacheShard*>& shards);
 
   size_t size() const { return committed_.size(); }
-  size_t canonical_size() const { return canon_committed_.size(); }
   uint64_t dropped() const { return dropped_; }
 
  private:
   friend class VerdictCacheShard;
 
-  using Store = std::unordered_map<VerdictKey, CachedVerdict, VerdictKeyHash>;
-
-  void CommitOne(Store& store, const VerdictKey& key, CachedVerdict&& verdict) {
-    if (store.size() >= max_entries_) {
+  void CommitOne(const VerdictKey& key, CachedVerdict&& verdict) {
+    if (committed_.size() >= max_entries_) {
       ++dropped_;
       return;
     }
-    store.emplace(key, std::move(verdict));
+    committed_.emplace(key, std::move(verdict));
   }
 
   size_t max_entries_;
   uint64_t dropped_ = 0;
-  Store committed_;
-  Store canon_committed_;
+  std::unordered_map<VerdictKey, CachedVerdict, VerdictKeyHash> committed_;
 };
 
 // Per-worker cache handle. Lookups see only the committed (epoch-frozen)
@@ -154,40 +133,17 @@ class VerdictCacheShard {
     return cached;
   }
 
-  // Canonical-level lookup; consulted only after a raw miss, so raw and
-  // canonical counters partition the loads that reached the cache.
-  const CachedVerdict* LookupCanonical(const VerdictKey& key) {
-    const CachedVerdict* cached = owner_.LookupCanonical(key);
-    if (cached != nullptr) {
-      ++canon_hits_;
-    } else {
-      ++canon_misses_;
-    }
-    return cached;
-  }
-
   void Insert(const VerdictKey& key, CachedVerdict verdict) {
     if (immediate_) {
-      owner_.CommitOne(owner_.committed_, key, std::move(verdict));
+      owner_.CommitOne(key, std::move(verdict));
     } else {
       pending_.emplace_back(iteration_, key, std::move(verdict));
-    }
-  }
-
-  // Canonical-level insert; callers only pass rejections.
-  void InsertCanonical(const VerdictKey& key, CachedVerdict verdict) {
-    if (immediate_) {
-      owner_.CommitOne(owner_.canon_committed_, key, std::move(verdict));
-    } else {
-      pending_canon_.emplace_back(iteration_, key, std::move(verdict));
     }
   }
 
   // Counter drain (the engines fold these into CampaignStats per epoch).
   uint64_t TakeHits() { return std::exchange(hits_, 0); }
   uint64_t TakeMisses() { return std::exchange(misses_, 0); }
-  uint64_t TakeCanonicalHits() { return std::exchange(canon_hits_, 0); }
-  uint64_t TakeCanonicalMisses() { return std::exchange(canon_misses_, 0); }
 
  private:
   friend class VerdictCache;
@@ -205,10 +161,7 @@ class VerdictCacheShard {
   uint64_t iteration_ = 0;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
-  uint64_t canon_hits_ = 0;
-  uint64_t canon_misses_ = 0;
   std::vector<Pending> pending_;
-  std::vector<Pending> pending_canon_;
 };
 
 }  // namespace bpf

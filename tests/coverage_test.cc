@@ -1,6 +1,6 @@
 // The kcov-style coverage registry: site registration, hit tracking,
-// per-run marks (fuzzer feedback), indexed groups, and the reset semantics
-// campaigns rely on.
+// indexed groups, and the reset semantics campaigns rely on. Per-case
+// novelty (campaign feedback) is the sinks' job: tests/parallel_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -27,33 +27,15 @@ TEST(CoverageTest, SiteRegistrationAndHits) {
   EXPECT_EQ(cov.hit_count(), before_hits + 1);
 }
 
-TEST(CoverageTest, MarkRunTracksNewSites) {
-  Coverage& cov = Coverage::Get();
-  cov.ResetHits();
-  const int a = cov.RegisterSite("file.cc", 10);
-  const int b = cov.RegisterSite("file.cc", 11);
-
-  cov.MarkRun();
-  cov.Hit(a);
-  cov.Hit(b);
-  EXPECT_EQ(cov.NewSinceMark(), 2u);
-
-  cov.MarkRun();
-  cov.Hit(a);  // already covered: not new
-  EXPECT_EQ(cov.NewSinceMark(), 0u);
-}
-
 TEST(CoverageTest, GroupsAreContiguousAndBounded) {
   Coverage& cov = Coverage::Get();
   cov.ResetHits();
   const size_t before_hits = cov.hit_count();
   const int base = cov.RegisterGroup("file.cc", 20, 8);
-  cov.MarkRun();
   // The BVF_COV_IDX macro guards the range; Hit() itself trusts its input.
   cov.Hit(base);
   cov.Hit(base + 7);
   EXPECT_EQ(cov.hit_count(), before_hits + 2);
-  EXPECT_EQ(cov.NewSinceMark(), 2u);
 }
 
 TEST(CoverageTest, ResetClearsHitsKeepsSites) {

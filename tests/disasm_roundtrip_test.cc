@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/baselines.h"
-#include "src/core/fuzzer.h"
+#include "src/core/parallel.h"
 #include "src/core/structured_gen.h"
 #include "src/runtime/bpf_syscall.h"
 
@@ -49,7 +49,7 @@ TEST(CampaignConsistency, CountsAddUp) {
   options.seed = 88;
   options.bugs = BugConfig::All();
   bvf::StructuredGenerator generator(options.version);
-  bvf::Fuzzer fuzzer(generator, options);
+  bvf::ParallelFuzzer fuzzer(generator, options);
   const bvf::CampaignStats stats = fuzzer.Run();
   EXPECT_EQ(stats.iterations, options.iterations);
   EXPECT_EQ(stats.accepted + stats.rejected, stats.iterations);
@@ -71,7 +71,7 @@ TEST(CampaignConsistency, SanitizeOffStillFindsIndicator2) {
   options.bugs = BugConfig::All();
   options.sanitize = false;
   bvf::StructuredGenerator generator(options.version);
-  bvf::Fuzzer fuzzer(generator, options);
+  bvf::ParallelFuzzer fuzzer(generator, options);
   const bvf::CampaignStats stats = fuzzer.Run();
   bool has_indicator2 = false;
   bool has_bpf_asan = false;
@@ -97,7 +97,7 @@ TEST(CampaignConsistency, AllToolsRunAllVersions) {
       options.bugs = BugConfig::ForVersion(version);
       options.iterations = 120;
       options.seed = 1;
-      bvf::Fuzzer fuzzer(*generator, options);
+      bvf::ParallelFuzzer fuzzer(*generator, options);
       const bvf::CampaignStats stats = fuzzer.Run();
       EXPECT_EQ(stats.iterations, 120u) << generator->name();
     }
@@ -110,7 +110,7 @@ TEST(CampaignConsistency, CorpusFeedbackCanBeDisabled) {
   options.seed = 6;
   options.coverage_feedback = false;
   bvf::StructuredGenerator generator(options.version);
-  bvf::Fuzzer fuzzer(generator, options);
+  bvf::ParallelFuzzer fuzzer(generator, options);
   const bvf::CampaignStats stats = fuzzer.Run();
   EXPECT_EQ(stats.iterations, 300u);
 }

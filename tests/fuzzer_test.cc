@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/baselines.h"
-#include "src/core/fuzzer.h"
+#include "src/core/parallel.h"
 #include "src/core/oracle.h"
 #include "src/core/structured_gen.h"
 #include "src/runtime/bpf_syscall.h"
@@ -37,7 +37,7 @@ TEST(GeneratorTest, StructuredAcceptanceNearPaperRate) {
   options.iterations = 1500;
   options.seed = 11;
   options.coverage_points = 0;
-  Fuzzer fuzzer(generator, options);
+  ParallelFuzzer fuzzer(generator, options);
   const double rate = fuzzer.Run().AcceptanceRate();
   EXPECT_GT(rate, 0.35);  // paper: 49%
   EXPECT_LT(rate, 0.75);
@@ -50,8 +50,8 @@ TEST(GeneratorTest, SyzkallerAcceptanceLowerThanBvf) {
   options.iterations = 1500;
   options.seed = 11;
   options.coverage_points = 0;
-  Fuzzer syz_fuzzer(syz, options);
-  Fuzzer bvf_fuzzer(bvf_gen, options);
+  ParallelFuzzer syz_fuzzer(syz, options);
+  ParallelFuzzer bvf_fuzzer(bvf_gen, options);
   const double syz_rate = syz_fuzzer.Run().AcceptanceRate();
   const double bvf_rate = bvf_fuzzer.Run().AcceptanceRate();
   EXPECT_GT(syz_rate, 0.05);
@@ -66,11 +66,11 @@ TEST(GeneratorTest, BuzzerModesMatchPaperShape) {
   options.iterations = 1200;
   options.seed = 3;
   options.coverage_points = 0;
-  Fuzzer f1(alu_jmp, options);
+  ParallelFuzzer f1(alu_jmp, options);
   const CampaignStats alu_stats = f1.Run();
   EXPECT_GT(alu_stats.AcceptanceRate(), 0.90);  // paper: ~97%
   EXPECT_GT(alu_stats.AluJmpShare(), 0.70);     // paper: >88% ALU+JMP
-  Fuzzer f2(random, options);
+  ParallelFuzzer f2(random, options);
   EXPECT_LT(f2.Run().AcceptanceRate(), 0.05);   // paper: ~1%
 }
 
@@ -121,9 +121,9 @@ TEST(FuzzerTest, CampaignIsDeterministic) {
   options.bugs = BugConfig::All();
   StructuredGenerator g1(options.version);
   StructuredGenerator g2(options.version);
-  Fuzzer f1(g1, options);
+  ParallelFuzzer f1(g1, options);
   const CampaignStats a = f1.Run();
-  Fuzzer f2(g2, options);
+  ParallelFuzzer f2(g2, options);
   const CampaignStats b = f2.Run();
   EXPECT_EQ(a.accepted, b.accepted);
   EXPECT_EQ(a.rejected, b.rejected);
@@ -137,7 +137,7 @@ TEST(FuzzerTest, NoFindingsOnFixedKernel) {
   options.seed = 123;
   options.bugs = BugConfig::None();
   StructuredGenerator generator(options.version);
-  Fuzzer fuzzer(generator, options);
+  ParallelFuzzer fuzzer(generator, options);
   const CampaignStats stats = fuzzer.Run();
   EXPECT_TRUE(stats.findings.empty())
       << stats.findings[0].signature << " | " << stats.findings[0].details;
@@ -149,7 +149,7 @@ TEST(FuzzerTest, FindsInjectedBugsQuickly) {
   options.seed = 9;
   options.bugs = BugConfig::All();
   StructuredGenerator generator(options.version);
-  Fuzzer fuzzer(generator, options);
+  ParallelFuzzer fuzzer(generator, options);
   const CampaignStats stats = fuzzer.Run();
   EXPECT_GE(stats.findings.size(), 8u);
   int distinct = 0;
@@ -170,7 +170,7 @@ TEST(FuzzerTest, CoverageCurveIsMonotone) {
   options.seed = 4;
   options.coverage_points = 16;
   StructuredGenerator generator(options.version);
-  Fuzzer fuzzer(generator, options);
+  ParallelFuzzer fuzzer(generator, options);
   const CampaignStats stats = fuzzer.Run();
   ASSERT_GE(stats.curve.size(), 15u);
   for (size_t i = 1; i < stats.curve.size(); ++i) {
@@ -184,7 +184,7 @@ TEST(FuzzerTest, RejectErrnosAreTracked) {
   options.iterations = 600;
   options.seed = 21;
   SyzkallerGenerator generator(options.version);
-  Fuzzer fuzzer(generator, options);
+  ParallelFuzzer fuzzer(generator, options);
   const CampaignStats stats = fuzzer.Run();
   uint64_t total = 0;
   for (const auto& [err, count] : stats.reject_errno) {
@@ -267,7 +267,7 @@ TEST(SoundnessSweep, AcceptedProgramsNeverMisbehaveOnFixedKernel) {
     options.iterations = 800;
     options.seed = 31337;
     StructuredGenerator generator(version);
-    Fuzzer fuzzer(generator, options);
+    ParallelFuzzer fuzzer(generator, options);
     const CampaignStats stats = fuzzer.Run();
     EXPECT_TRUE(stats.findings.empty())
         << bpf::KernelVersionName(version) << ": " << stats.findings[0].signature << " | "

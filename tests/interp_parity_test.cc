@@ -4,7 +4,7 @@
 // the campaign StatsDigest — must be bit-identical across all three engines
 // (the legacy instruction-at-a-time interpreter, the decoded micro-op engine,
 // and the x86-64 JIT tier), for handwritten edge programs, injected-bug
-// repros, generated program sweeps, and full serial/parallel campaigns. Also
+// repros, generated program sweeps, and full jobs=1/jobs=2 campaigns. Also
 // locks down the decode and JIT caches' determinism (job-count-invariant
 // hit/miss/evict counters, FIFO eviction, the shared_ptr lifetime rule), the
 // JIT's graceful degradation to decoded, and the JIT differential oracle
@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "src/core/checkpoint.h"
-#include "src/core/fuzzer.h"
 #include "src/core/parallel.h"
 #include "src/core/structured_gen.h"
 #include "src/ebpf/builder.h"
@@ -367,12 +366,6 @@ CampaignOptions SmallCampaign() {
   return options;
 }
 
-CampaignStats RunSerial(const CampaignOptions& options) {
-  StructuredGenerator generator(options.version);
-  Fuzzer fuzzer(generator, options);
-  return fuzzer.Run();
-}
-
 CampaignStats RunParallel(const CampaignOptions& options) {
   StructuredGenerator generator(options.version);
   ParallelFuzzer fuzzer(generator, options);
@@ -380,15 +373,16 @@ CampaignStats RunParallel(const CampaignOptions& options) {
 }
 
 TEST(InterpParityTest, SerialCampaignDigestIdenticalAcrossEngines) {
+  // One worker (jobs=1, the default).
   CampaignOptions options = SmallCampaign();
   options.interp_engine = bpf::ExecEngine::kLegacy;
-  const CampaignStats legacy = RunSerial(options);
+  const CampaignStats legacy = RunParallel(options);
   options.interp_engine = bpf::ExecEngine::kDecoded;
-  const CampaignStats decoded = RunSerial(options);
+  const CampaignStats decoded = RunParallel(options);
   // The jit leg is unconditional: on hosts without a working JIT the engine
   // downgrades to decoded, which must still produce the identical digest.
   options.interp_engine = bpf::ExecEngine::kJit;
-  const CampaignStats jit = RunSerial(options);
+  const CampaignStats jit = RunParallel(options);
   EXPECT_EQ(StatsDigest(legacy), StatsDigest(decoded));
   EXPECT_EQ(StatsDigest(jit), StatsDigest(decoded));
   EXPECT_EQ(legacy.findings.size(), decoded.findings.size());
@@ -424,11 +418,11 @@ TEST(InterpParityTest, SanitizeOffCampaignAlsoDigestIdentical) {
   options.sanitize = false;
   options.audit_state = false;
   options.interp_engine = bpf::ExecEngine::kLegacy;
-  const CampaignStats legacy = RunSerial(options);
+  const CampaignStats legacy = RunParallel(options);
   options.interp_engine = bpf::ExecEngine::kDecoded;
-  const CampaignStats decoded = RunSerial(options);
+  const CampaignStats decoded = RunParallel(options);
   options.interp_engine = bpf::ExecEngine::kJit;
-  const CampaignStats jit = RunSerial(options);
+  const CampaignStats jit = RunParallel(options);
   EXPECT_EQ(StatsDigest(legacy), StatsDigest(decoded));
   EXPECT_EQ(StatsDigest(jit), StatsDigest(decoded));
 }
@@ -692,10 +686,10 @@ TEST(JitEngineTest, DowngradesGracefullyWhenUnavailable) {
   // decoded engine and produces the identical digest.
   CampaignOptions options = SmallCampaign();
   options.interp_engine = bpf::ExecEngine::kJit;
-  const CampaignStats downgraded = RunSerial(options);
+  const CampaignStats downgraded = RunParallel(options);
   bpf::SetJitForceUnavailableForTest(false);
   options.interp_engine = bpf::ExecEngine::kDecoded;
-  const CampaignStats decoded = RunSerial(options);
+  const CampaignStats decoded = RunParallel(options);
   EXPECT_EQ(StatsDigest(downgraded), StatsDigest(decoded));
   // The downgraded run never touched the jit cache.
   EXPECT_EQ(downgraded.jit_cache_hits + downgraded.jit_cache_misses, 0u);

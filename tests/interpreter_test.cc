@@ -63,29 +63,33 @@ TEST_P(AluSemanticsTest, RegisterForm) {
   EXPECT_EQ(bpf.ProgTestRun(fd).r0, c.expected);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Ops, AluSemanticsTest,
-    ::testing::Values(
-        AluSemCase{kAluAdd, true, 3, 4, 7},
-        AluSemCase{kAluAdd, true, -1, 1, 0},
-        AluSemCase{kAluAdd, false, 0xffffffff, 1, 0},  // 32-bit wraps + zexts
-        AluSemCase{kAluSub, true, 3, 5, static_cast<uint64_t>(-2)},
-        AluSemCase{kAluSub, false, 3, 5, 0xfffffffeu},
-        AluSemCase{kAluMul, true, 7, 6, 42},
-        AluSemCase{kAluDiv, true, 42, 6, 7},
-        AluSemCase{kAluDiv, true, 42, 0, 0},  // div-by-zero yields 0
-        AluSemCase{kAluDiv, true, -1, 2, 0x7fffffffffffffffull},  // unsigned div
-        AluSemCase{kAluMod, true, 42, 5, 2},
-        AluSemCase{kAluMod, true, 42, 0, 42},  // mod-by-zero keeps dst
-        AluSemCase{kAluAnd, true, 0xf0f0, 0xff00, 0xf000},
-        AluSemCase{kAluOr, true, 0xf0, 0x0f, 0xff},
-        AluSemCase{kAluXor, true, 0xff, 0x0f, 0xf0},
-        AluSemCase{kAluLsh, true, 1, 40, 1ull << 40},
-        AluSemCase{kAluLsh, false, 1, 31, 0x80000000u},
-        AluSemCase{kAluRsh, true, 1ull << 40, 40, 1},
-        AluSemCase{kAluArsh, true, -8, 1, static_cast<uint64_t>(-4)},
-        AluSemCase{kAluArsh, false, 0x80000000u, 4, 0xf8000000u},
-        AluSemCase{kAluMov, true, 1, 99, 99}));
+// gtest names each case by the byte dump of its AluSemCase, padding included.
+// A static array's padding is zero-filled, so the names are the same in every
+// build; cases built inline would carry whatever was on the stack.
+const AluSemCase kAluSemCases[] = {
+    AluSemCase{kAluAdd, true, 3, 4, 7},
+    AluSemCase{kAluAdd, true, -1, 1, 0},
+    AluSemCase{kAluAdd, false, 0xffffffff, 1, 0},  // 32-bit wraps + zexts
+    AluSemCase{kAluSub, true, 3, 5, static_cast<uint64_t>(-2)},
+    AluSemCase{kAluSub, false, 3, 5, 0xfffffffeu},
+    AluSemCase{kAluMul, true, 7, 6, 42},
+    AluSemCase{kAluDiv, true, 42, 6, 7},
+    AluSemCase{kAluDiv, true, 42, 0, 0},  // div-by-zero yields 0
+    AluSemCase{kAluDiv, true, -1, 2, 0x7fffffffffffffffull},  // unsigned div
+    AluSemCase{kAluMod, true, 42, 5, 2},
+    AluSemCase{kAluMod, true, 42, 0, 42},  // mod-by-zero keeps dst
+    AluSemCase{kAluAnd, true, 0xf0f0, 0xff00, 0xf000},
+    AluSemCase{kAluOr, true, 0xf0, 0x0f, 0xff},
+    AluSemCase{kAluXor, true, 0xff, 0x0f, 0xf0},
+    AluSemCase{kAluLsh, true, 1, 40, 1ull << 40},
+    AluSemCase{kAluLsh, false, 1, 31, 0x80000000u},
+    AluSemCase{kAluRsh, true, 1ull << 40, 40, 1},
+    AluSemCase{kAluArsh, true, -8, 1, static_cast<uint64_t>(-4)},
+    AluSemCase{kAluArsh, false, 0x80000000u, 4, 0xf8000000u},
+    AluSemCase{kAluMov, true, 1, 99, 99},
+};
+
+INSTANTIATE_TEST_SUITE_P(Ops, AluSemanticsTest, ::testing::ValuesIn(kAluSemCases));
 
 TEST_F(InterpreterTest, NegAndByteSwap) {
   ProgramBuilder b;

@@ -13,7 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/checkpoint.h"
-#include "src/core/fuzzer.h"
+#include "src/core/parallel.h"
 #include "src/core/metamorph/metamorph.h"
 #include "src/core/metamorph/transform.h"
 #include "src/core/metamorph/witness.h"
@@ -238,7 +238,7 @@ TEST(MetamorphOracleTest, CampaignFindsBug13OnlyWithMetamorph) {
   options.metamorph_k = 2;
 
   StructuredGenerator generator(options.version);
-  Fuzzer on(generator, options);
+  ParallelFuzzer on(generator, options);
   const CampaignStats with_oracle = on.Run();
   EXPECT_TRUE(with_oracle.FoundBug(KnownBug::kBug13LdImm64Pessimize));
   EXPECT_GT(with_oracle.metamorph_bases, 0u);
@@ -250,7 +250,7 @@ TEST(MetamorphOracleTest, CampaignFindsBug13OnlyWithMetamorph) {
 
   options.metamorph = false;
   StructuredGenerator generator_off(options.version);
-  Fuzzer off(generator_off, options);
+  ParallelFuzzer off(generator_off, options);
   const CampaignStats without_oracle = off.Run();
   EXPECT_FALSE(without_oracle.FoundBug(KnownBug::kBug13LdImm64Pessimize));
   EXPECT_EQ(without_oracle.metamorph_variants, 0u);
@@ -264,7 +264,7 @@ TEST(MetamorphOracleTest, ConfirmationClassifiesDivergenceDeterministic) {
   options.metamorph = true;
   options.confirm_runs = 3;
   StructuredGenerator generator(options.version);
-  Fuzzer fuzzer(generator, options);
+  ParallelFuzzer fuzzer(generator, options);
   const CampaignStats stats = fuzzer.Run();
   bool saw_indicator4 = false;
   for (const Finding& finding : stats.findings) {

@@ -1,7 +1,8 @@
 // Parallel sharded campaign engine (DESIGN.md §9): job-count invariance of
 // findings / outcome histograms / coverage / StatsDigest, cross-job-count
-// checkpoint resume, the digest-keyed verdict cache's digest-invisibility,
-// and thread safety of the global coverage registry.
+// checkpoint resume, the digest-keyed verdict cache's digest-invisibility
+// (in-process and in supervised immediate mode), and thread safety of the
+// global coverage registry.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include "src/core/checkpoint.h"
 #include "src/core/parallel.h"
 #include "src/core/structured_gen.h"
+#include "src/core/supervisor/supervisor.h"
 #include "src/ebpf/insn.h"
 #include "src/kernel/coverage.h"
 #include "src/kernel/fault_inject.h"
@@ -126,35 +128,40 @@ TEST(ParallelInvarianceTest, OddJobCountAndShortFinalEpoch) {
 TEST(ParallelInvarianceTest, EpochLengthIsSemantics) {
   // Changing jobs must not change results; changing epoch_len may (it moves
   // the snapshot barriers). Since checkpoint v2 the engine and epoch length
-  // are structured checkpoint fields, validated field-wise on resume — guard
-  // that the validator separates the two and names the mismatching field.
+  // are structured checkpoint fields, validated field-wise on load and resume
+  // — guard that each mismatching field is rejected by name.
   CampaignOptions options = SmallCampaign();
   CampaignCheckpoint cp;
   cp.fingerprint = FingerprintOptions(options, "bvf");
   cp.engine = kEngineParallel;
   cp.epoch_len = options.epoch_len;
-  EXPECT_EQ(ValidateCheckpointCompat(cp, options, "bvf", kEngineParallel), "");
+  EXPECT_EQ(ValidateCheckpointCompat(cp, options, "bvf"), "");
 
   // jobs is not semantics: any job count resumes the same checkpoint.
   options.jobs = 8;
-  EXPECT_EQ(ValidateCheckpointCompat(cp, options, "bvf", kEngineParallel), "");
+  EXPECT_EQ(ValidateCheckpointCompat(cp, options, "bvf"), "");
 
   // epoch_len is semantics: the mismatch is rejected, by name.
   options.epoch_len = 64;
-  const std::string epoch_mismatch =
-      ValidateCheckpointCompat(cp, options, "bvf", kEngineParallel);
+  const std::string epoch_mismatch = ValidateCheckpointCompat(cp, options, "bvf");
   EXPECT_NE(epoch_mismatch.find("epoch_len"), std::string::npos) << epoch_mismatch;
   options.epoch_len = cp.epoch_len;
 
-  // Engine tag separates serial from parallel checkpoints, by name.
-  const std::string engine_mismatch =
-      ValidateCheckpointCompat(cp, options, "bvf", kEngineSerial);
-  EXPECT_NE(engine_mismatch.find("engine"), std::string::npos) << engine_mismatch;
+  // The engine tag is checked at load: a file written by the removed serial
+  // engine is refused, by name.
+  const std::string path = TempPath("engine_axis.bvfcp");
+  CampaignCheckpoint serial = cp;
+  serial.engine = "serial";
+  ASSERT_EQ(SaveCheckpoint(path, serial), 0);
+  CampaignCheckpoint loaded;
+  std::string engine_error;
+  EXPECT_NE(LoadCheckpoint(path, &loaded, &engine_error), 0);
+  EXPECT_NE(engine_error.find("engine"), std::string::npos) << engine_error;
+  std::remove(path.c_str());
 
   // Options-fingerprint mismatch is the third named axis.
   options.seed += 1;
-  const std::string options_mismatch =
-      ValidateCheckpointCompat(cp, options, "bvf", kEngineParallel);
+  const std::string options_mismatch = ValidateCheckpointCompat(cp, options, "bvf");
   EXPECT_NE(options_mismatch.find("fingerprint"), std::string::npos) << options_mismatch;
 }
 
@@ -192,22 +199,25 @@ TEST(ParallelResumeTest, FourJobCheckpointResumesBitIdenticallyAtOneJob) {
 }
 
 TEST(ParallelResumeTest, SerialCheckpointIsRejected) {
-  // Serial and parallel checkpoints are not interchangeable: the serial
-  // engine's RNG stream position has no meaning for per-iteration seeds.
+  // Checkpoints tagged engine=serial came from the removed single-stream
+  // engine, whose RNG position has no meaning for per-iteration seeds. A
+  // hand-saved one must be refused by name before any iteration runs.
   CampaignOptions options = SmallCampaign();
   options.confirm_runs = 0;
   const std::string path = TempPath("serial_for_parallel.bvfcp");
-  CampaignOptions serial_leg = options;
-  serial_leg.stop_after = 64;
-  serial_leg.checkpoint_path = path;
-  StructuredGenerator generator(options.version);
-  Fuzzer serial(generator, serial_leg);
-  serial.Run();
+  CampaignCheckpoint cp;
+  cp.next_iteration = 65;
+  cp.fingerprint = FingerprintOptions(options, "bvf");
+  cp.engine = "serial";
+  cp.epoch_len = 0;
+  cp.stats.tool = "bvf";
+  ASSERT_EQ(SaveCheckpoint(path, cp), 0);
 
   CampaignOptions resume_leg = options;
   resume_leg.resume_path = path;
   const CampaignStats rejected = RunParallel(resume_leg);
-  EXPECT_FALSE(rejected.resume_error.empty());
+  EXPECT_NE(rejected.resume_error.find("engine"), std::string::npos)
+      << rejected.resume_error;
   EXPECT_EQ(rejected.iterations, 0u);
   std::remove(path.c_str());
 }
@@ -277,21 +287,25 @@ TEST(VerdictCacheTest, CacheWorksOnRealCampaignWithoutChangingDigest) {
   EXPECT_EQ(on.verdict_cache_hits + on.verdict_cache_misses, options.iterations);
 }
 
-TEST(VerdictCacheTest, SerialEngineImmediateModeIsDigestPreserving) {
+TEST(VerdictCacheTest, SupervisedImmediateModeIsDigestPreserving) {
+  // Supervised worker processes keep private verdict caches in immediate
+  // mode (inserts commit on the spot, not at the barrier). A hit must still
+  // be digest-invisible: the supervised cache-on campaign matches the
+  // in-process cache-off one, and every load is counted exactly once.
   CampaignOptions options = SmallCampaign();
-  StructuredGenerator g1(options.version);
-  Fuzzer off(g1, options);
-  const CampaignStats stats_off = off.Run();
+  const CampaignStats stats_off = RunParallel(options);
 
+  options.jobs = 2;
   options.verdict_cache = true;
-  StructuredGenerator g2(options.version);
-  Fuzzer on(g2, options);
-  const CampaignStats stats_on = on.Run();
+  StructuredGenerator generator(options.version);
+  SupervisedFuzzer supervised(generator, options);
+  const CampaignStats stats_on = supervised.Run();
 
   EXPECT_EQ(StatsDigest(stats_off), StatsDigest(stats_on));
-  EXPECT_EQ(stats_off.findings.size(), stats_on.findings.size());
+  EXPECT_EQ(FindingKeys(stats_off), FindingKeys(stats_on));
   EXPECT_EQ(stats_on.verdict_cache_hits + stats_on.verdict_cache_misses,
-            options.iterations);
+            stats_on.iterations);
+  EXPECT_EQ(stats_on.iterations, options.iterations);
 }
 
 // ---- Checkpoint carries cache counters ----

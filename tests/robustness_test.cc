@@ -13,7 +13,7 @@
 #include <sstream>
 
 #include "src/core/checkpoint.h"
-#include "src/core/fuzzer.h"
+#include "src/core/parallel.h"
 #include "src/core/structured_gen.h"
 #include "src/ebpf/insn.h"
 #include "src/kernel/coverage.h"
@@ -163,7 +163,7 @@ TEST(ExecGuardTest, StepBudgetClassifiesAsTimeout) {
   options.seed = 5;
   options.limits.step_budget = 4;  // nothing real finishes in four steps
   StructuredGenerator generator(options.version);
-  Fuzzer fuzzer(generator, options);
+  ParallelFuzzer fuzzer(generator, options);
   const CampaignStats stats = fuzzer.Run();
   EXPECT_GT(OutcomeCount(stats, CaseOutcome::kExecTimeout), 0u);
   EXPECT_GT(ExecErrnoCount(stats, ELOOP), 0u);
@@ -176,7 +176,7 @@ TEST(ExecGuardTest, ArenaBudgetClassifiesAsResourceExhausted) {
   options.seed = 5;
   options.arena_budget = 1;  // below even the execution-context allocation
   StructuredGenerator generator(options.version);
-  Fuzzer fuzzer(generator, options);
+  ParallelFuzzer fuzzer(generator, options);
   const CampaignStats stats = fuzzer.Run();
   EXPECT_GT(OutcomeCount(stats, CaseOutcome::kResourceExhausted), 0u);
   EXPECT_GT(ExecErrnoCount(stats, ENOMEM), 0u);
@@ -252,7 +252,7 @@ TEST(RobustCampaignTest, FaultCampaignOnFixedKernelStaysClean) {
   options.seed = 13;
   options.fault.probability = 0.2;
   StructuredGenerator generator(options.version);
-  Fuzzer fuzzer(generator, options);
+  ParallelFuzzer fuzzer(generator, options);
   const CampaignStats stats = fuzzer.Run();
 
   EXPECT_GT(stats.fault_injected, 0u);
@@ -276,10 +276,10 @@ TEST(RobustCampaignTest, FaultCampaignIsDeterministic) {
   options.bugs = BugConfig::All();
   options.fault.probability = 0.15;
   StructuredGenerator g1(options.version);
-  Fuzzer f1(g1, options);
+  ParallelFuzzer f1(g1, options);
   const CampaignStats a = f1.Run();
   StructuredGenerator g2(options.version);
-  Fuzzer f2(g2, options);
+  ParallelFuzzer f2(g2, options);
   const CampaignStats b = f2.Run();
   EXPECT_EQ(StatsDigest(a), StatsDigest(b));
   EXPECT_GT(a.fault_injected, 0u);
@@ -291,7 +291,7 @@ TEST(RobustCampaignTest, PanicIsContainedAndCampaignCompletes) {
   options.seed = 7;
   options.bugs = BugConfig::All();  // includes bug #6, whose trigger panics
   StructuredGenerator generator(options.version);
-  Fuzzer fuzzer(generator, options);
+  ParallelFuzzer fuzzer(generator, options);
   const CampaignStats stats = fuzzer.Run();
 
   ASSERT_GT(stats.panics, 0u);
@@ -307,12 +307,12 @@ TEST(RobustCampaignTest, SubstrateReuseMatchesFreshPerCase) {
   options.seed = 77;
   options.bugs = BugConfig::All();
   StructuredGenerator g1(options.version);
-  Fuzzer f1(g1, options);
+  ParallelFuzzer f1(g1, options);
   const CampaignStats reused = f1.Run();
 
   options.reuse_substrate = false;
   StructuredGenerator g2(options.version);
-  Fuzzer f2(g2, options);
+  ParallelFuzzer f2(g2, options);
   const CampaignStats fresh = f2.Run();
 
   EXPECT_EQ(StatsDigest(reused), StatsDigest(fresh));
@@ -327,7 +327,7 @@ TEST(ConfirmationTest, InjectedBugFindingsAreDeterministic) {
   options.bugs = BugConfig::All();
   options.confirm_runs = 3;
   StructuredGenerator generator(options.version);
-  Fuzzer fuzzer(generator, options);
+  ParallelFuzzer fuzzer(generator, options);
   const CampaignStats stats = fuzzer.Run();
 
   ASSERT_FALSE(stats.findings.empty());
@@ -351,7 +351,7 @@ TEST(ConfirmationTest, FaultOnlyFindingClassifiedFaultDependent) {
   options.fault.enabled[static_cast<int>(FaultPoint::kKmalloc)] = true;  // ...but kmalloc
   options.confirm_runs = 2;
   StructuredGenerator generator(options.version);
-  Fuzzer fuzzer(generator, options);
+  ParallelFuzzer fuzzer(generator, options);
   const CampaignStats stats = fuzzer.Run();
 
   bool saw_fault_dependent = false;
@@ -528,9 +528,11 @@ TEST(ResumeTest, ResumedCampaignIsBitIdenticalToStraightRun) {
   options.seed = 7;
   options.bugs = BugConfig::All();
   options.fault.probability = 0.1;
+  // Checkpoints are taken at epoch barriers; put one at the simulated kill.
+  options.epoch_len = 50;
 
   StructuredGenerator g1(options.version);
-  Fuzzer straight(g1, options);
+  ParallelFuzzer straight(g1, options);
   const CampaignStats full = straight.Run();
 
   // Simulated mid-run kill at iteration 150, checkpointing along the way.
@@ -540,14 +542,14 @@ TEST(ResumeTest, ResumedCampaignIsBitIdenticalToStraightRun) {
   first_leg.checkpoint_path = path;
   first_leg.checkpoint_every = 70;
   StructuredGenerator g2(options.version);
-  Fuzzer interrupted(g2, first_leg);
+  ParallelFuzzer interrupted(g2, first_leg);
   const CampaignStats partial = interrupted.Run();
   EXPECT_EQ(partial.iterations, 150u);
 
   CampaignOptions second_leg = options;
   second_leg.resume_path = path;
   StructuredGenerator g3(options.version);
-  Fuzzer resumed(g3, second_leg);
+  ParallelFuzzer resumed(g3, second_leg);
   const CampaignStats continued = resumed.Run();
 
   EXPECT_TRUE(continued.resume_error.empty()) << continued.resume_error;
@@ -566,7 +568,7 @@ TEST(ResumeTest, MismatchedOptionsAreRejected) {
   const std::string path = TempPath("mismatch.bvfcp");
   options.checkpoint_path = path;
   StructuredGenerator g1(options.version);
-  Fuzzer writer(g1, options);
+  ParallelFuzzer writer(g1, options);
   writer.Run();
 
   CampaignOptions other = options;
@@ -574,7 +576,7 @@ TEST(ResumeTest, MismatchedOptionsAreRejected) {
   other.resume_path = path;
   other.seed = 12;  // different campaign: fingerprint must not match
   StructuredGenerator g2(options.version);
-  Fuzzer reader(g2, other);
+  ParallelFuzzer reader(g2, other);
   const CampaignStats stats = reader.Run();
   EXPECT_FALSE(stats.resume_error.empty());
   EXPECT_EQ(stats.iterations, 0u);
@@ -590,7 +592,7 @@ TEST(CoverageCheckpointTest, HitKeysRoundTripIncludingPending) {
   options.iterations = 30;
   options.seed = 2;
   StructuredGenerator generator(options.version);
-  Fuzzer fuzzer(generator, options);
+  ParallelFuzzer fuzzer(generator, options);
   fuzzer.Run();
   const size_t covered = cov.hit_count();
   ASSERT_GT(covered, 0u);

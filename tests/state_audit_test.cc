@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "src/analysis/state_audit.h"
-#include "src/core/fuzzer.h"
+#include "src/core/parallel.h"
 #include "src/core/oracle.h"
 #include "src/core/repro.h"
 #include "src/core/structured_gen.h"
@@ -103,7 +103,7 @@ TEST(StateAuditTest, CampaignBug12OnlyIndicator3Sees) {
   options.iterations = 1500;
   options.seed = 5;
   StructuredGenerator generator(options.version);
-  Fuzzer fuzzer(generator, options);
+  ParallelFuzzer fuzzer(generator, options);
   const CampaignStats stats = fuzzer.Run();
 
   int ind3 = 0;
@@ -120,7 +120,7 @@ TEST(StateAuditTest, CampaignNoBugsNoAuditFindings) {
   options.iterations = 300;
   options.seed = 17;
   StructuredGenerator generator(options.version);
-  Fuzzer fuzzer(generator, options);
+  ParallelFuzzer fuzzer(generator, options);
   const CampaignStats stats = fuzzer.Run();
   for (const Finding& finding : stats.findings) {
     EXPECT_NE(finding.indicator, 3) << finding.signature << "\n" << finding.details;

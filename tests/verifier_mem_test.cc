@@ -215,31 +215,35 @@ TEST_P(CtxMatrixTest, AccessOutcome) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Fields, CtxMatrixTest,
-    ::testing::Values(
-        // __sk_buff
-        CtxCase{ProgType::kSocketFilter, 0, kSizeW, false, true},    // len
-        CtxCase{ProgType::kSocketFilter, 8, kSizeW, false, true},    // mark
-        CtxCase{ProgType::kSocketFilter, 8, kSizeW, true, true},     // mark writable
-        CtxCase{ProgType::kSocketFilter, 0, kSizeW, true, false},    // len read-only
-        CtxCase{ProgType::kSocketFilter, 2, kSizeH, false, true},    // narrow load
-        CtxCase{ProgType::kSocketFilter, 44, kSizeW, false, false},  // hole
-        CtxCase{ProgType::kSocketFilter, 48, kSizeW, false, false},  // past end
-        CtxCase{ProgType::kSocketFilter, 2, kSizeW, false, false},   // misaligned
-        CtxCase{ProgType::kSocketFilter, 32, kSizeW, false, false},  // partial pkt field
-        // xdp_md
-        CtxCase{ProgType::kXdp, 24, kSizeW, false, true},   // ingress_ifindex
-        CtxCase{ProgType::kXdp, 24, kSizeW, true, false},   // read-only
-        CtxCase{ProgType::kXdp, 32, kSizeW, false, false},  // past end
-        // pt_regs: everything readable, nothing writable
-        CtxCase{ProgType::kKprobe, 0, kSizeDw, false, true},
-        CtxCase{ProgType::kKprobe, 160, kSizeDw, false, true},
-        CtxCase{ProgType::kKprobe, 160, kSizeDw, true, false},
-        CtxCase{ProgType::kKprobe, 168, kSizeDw, false, false},
-        // tracepoint args
-        CtxCase{ProgType::kTracepoint, 56, kSizeDw, false, true},
-        CtxCase{ProgType::kTracepoint, 64, kSizeDw, false, false}));
+// gtest names each case by the byte dump of its CtxCase, padding included.
+// A static array's padding is zero-filled, so the names are the same in every
+// build; cases built inline would carry whatever was on the stack.
+const CtxCase kCtxCases[] = {
+    // __sk_buff
+    CtxCase{ProgType::kSocketFilter, 0, kSizeW, false, true},    // len
+    CtxCase{ProgType::kSocketFilter, 8, kSizeW, false, true},    // mark
+    CtxCase{ProgType::kSocketFilter, 8, kSizeW, true, true},     // mark writable
+    CtxCase{ProgType::kSocketFilter, 0, kSizeW, true, false},    // len read-only
+    CtxCase{ProgType::kSocketFilter, 2, kSizeH, false, true},    // narrow load
+    CtxCase{ProgType::kSocketFilter, 44, kSizeW, false, false},  // hole
+    CtxCase{ProgType::kSocketFilter, 48, kSizeW, false, false},  // past end
+    CtxCase{ProgType::kSocketFilter, 2, kSizeW, false, false},   // misaligned
+    CtxCase{ProgType::kSocketFilter, 32, kSizeW, false, false},  // partial pkt field
+    // xdp_md
+    CtxCase{ProgType::kXdp, 24, kSizeW, false, true},   // ingress_ifindex
+    CtxCase{ProgType::kXdp, 24, kSizeW, true, false},   // read-only
+    CtxCase{ProgType::kXdp, 32, kSizeW, false, false},  // past end
+    // pt_regs: everything readable, nothing writable
+    CtxCase{ProgType::kKprobe, 0, kSizeDw, false, true},
+    CtxCase{ProgType::kKprobe, 160, kSizeDw, false, true},
+    CtxCase{ProgType::kKprobe, 160, kSizeDw, true, false},
+    CtxCase{ProgType::kKprobe, 168, kSizeDw, false, false},
+    // tracepoint args
+    CtxCase{ProgType::kTracepoint, 56, kSizeDw, false, true},
+    CtxCase{ProgType::kTracepoint, 64, kSizeDw, false, false},
+};
+
+INSTANTIATE_TEST_SUITE_P(Fields, CtxMatrixTest, ::testing::ValuesIn(kCtxCases));
 
 TEST_F(VerifierMemTest, CtxPointerWithConstOffset) {
   ProgramBuilder b(ProgType::kKprobe);
