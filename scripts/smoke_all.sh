@@ -26,8 +26,10 @@
 #   9. Tier-1 label audit: every discovered ctest test must carry the tier1
 #      label (`ctest -N` count == `ctest -N -L tier1` count) and the suites
 #      this tree considers load-bearing (supervisor, journal, parallel,
-#      robustness, jit) must actually be discovered, so nothing can silently
-#      drop out of the gate the driver runs.
+#      robustness, jit, conformance, prune fingerprint) must actually be
+#      discovered, so nothing can silently drop out of the tier-1 gate. The
+#      prune-fingerprint suites (fast path vs plain scan, and the fingerprint
+#      contract) also run here under ASan/UBSan.
 #
 # Usage: scripts/smoke_all.sh [asan-build-dir] [tsan-build-dir]
 #        (defaults: build-smoke build-tsan)
@@ -128,13 +130,19 @@ fi
 # lets grep exit at the first match, and under pipefail the SIGPIPE that
 # ctest then takes would read as "suite missing".
 TIER1_LIST="$(ctest --test-dir "$ASAN_DIR" -N -L tier1 2>/dev/null)"
-for SUITE in SupervisorDigestTest JournalTest ParallelInvarianceTest CheckpointTest JitCacheTest JitEngineTest ConformanceCorpusTest AsmRoundTripTest; do
+PRUNE_SUITES="PruneFingerprintTest FingerprintContractTest"
+for SUITE in SupervisorDigestTest JournalTest ParallelInvarianceTest CheckpointTest JitCacheTest JitEngineTest ConformanceCorpusTest AsmRoundTripTest $PRUNE_SUITES; do
     if ! grep -q "$SUITE" <<< "$TIER1_LIST"; then
         echo "SMOKE FAIL: load-bearing suite $SUITE not discovered under the tier1 label"
         exit 1
     fi
 done
 echo "smoke: all $ALL_TESTS discovered tests carry the tier1 label (load-bearing suites present)"
+ctest --test-dir "$ASAN_DIR" -L tier1 -R "^(${PRUNE_SUITES// /|})\\." --output-on-failure >/dev/null || {
+    echo "SMOKE FAIL: prune-fingerprint suites fail under ASan/UBSan"
+    exit 1
+}
+echo "smoke: prune-fingerprint suites pass under ASan/UBSan"
 
 echo
 echo "smoke_all: PASS"

@@ -5,14 +5,28 @@
 
 namespace bpf {
 
-thread_local CoverageSink* Coverage::tls_sink_ = nullptr;
+constinit thread_local CoverageSink* Coverage::tls_sink_ = nullptr;
 
-CoverageSink::CoverageSink()
-    : case_hit_(Coverage::kMaxSites, 0), epoch_hit_(Coverage::kMaxSites, 0) {}
+CoverageSink::CoverageSink() : marks_(Coverage::kMaxSites, 0) {}
+
+void CoverageSink::RecordFirst(int site, const Coverage& cov) {
+  uint8_t& marks = marks_[site];
+  if ((marks & kCaseMark) == 0) {
+    marks |= kCaseMark;
+    case_marks_.push_back(site);
+    if (!cov.Committed(site)) {
+      ++new_since_case_;
+    }
+  }
+  if ((marks & kEpochMark) == 0) {
+    marks |= kEpochMark;
+    epoch_sites_.push_back(site);
+  }
+}
 
 void CoverageSink::BeginCase() {
   for (const int site : case_marks_) {
-    case_hit_[site] = 0;
+    marks_[site] &= ~kCaseMark;
   }
   case_marks_.clear();
   new_since_case_ = 0;
@@ -20,12 +34,18 @@ void CoverageSink::BeginCase() {
 
 void CoverageSink::ClearEpoch() {
   for (const int site : epoch_sites_) {
-    epoch_hit_[site] = 0;
+    marks_[site] &= ~kEpochMark;
   }
   epoch_sites_.clear();
 }
 
 Coverage::Coverage() : hit_(new std::atomic<uint8_t>[kMaxSites]()) {}
+
+void Coverage::CommitFirstHit(int site) {
+  if (hit_[site].exchange(1, std::memory_order_relaxed) == 0) {
+    hit_count_.fetch_add(1, std::memory_order_relaxed);
+  }
+}
 
 std::string Coverage::SiteKey(const Site& site) {
   return std::string(site.file) + ":" + std::to_string(site.line) + ":" +

@@ -68,12 +68,17 @@ class CoverageSink {
 
  private:
   friend class Coverage;
-  inline void Record(int site, const Coverage& cov);  // body below Coverage
+  // Per-site mark bits: hit by the current case, hit since the last barrier.
+  static constexpr uint8_t kCaseMark = 1;
+  static constexpr uint8_t kEpochMark = 2;
 
-  std::vector<uint8_t> case_hit_;   // sites hit by the current case
-  std::vector<int> case_marks_;     // for O(case) reset
-  std::vector<uint8_t> epoch_hit_;  // sites hit since the last barrier
-  std::vector<int> epoch_sites_;
+  inline void Record(int site, const Coverage& cov);  // body below Coverage
+  // Record's slow path: the site is new to the current case or the epoch.
+  void RecordFirst(int site, const Coverage& cov);
+
+  std::vector<uint8_t> marks_;      // kCaseMark | kEpochMark per site
+  std::vector<int> case_marks_;     // sites with kCaseMark, for O(case) reset
+  std::vector<int> epoch_sites_;    // sites with kEpochMark, in first-hit order
   size_t new_since_case_ = 0;
   size_t trace_len_ = 0;
   bool muted_ = false;
@@ -112,13 +117,9 @@ class Coverage {
       return;
     }
     // Global mode. Nearly every call re-hits an already-hit site, so check
-    // with a plain load before the locked RMW; the exchange() then keeps the
-    // distinct-hit accounting exact even if legacy-mode code races on one
-    // site (each site increments hit_count_ exactly once).
-    std::atomic<uint8_t>& slot = hit_[site];
-    if (slot.load(std::memory_order_relaxed) == 0 &&
-        slot.exchange(1, std::memory_order_relaxed) == 0) {
-      hit_count_.fetch_add(1, std::memory_order_relaxed);
+    // with a plain load before the out-of-line locked RMW.
+    if (hit_[site].load(std::memory_order_relaxed) == 0) {
+      CommitFirstHit(site);
     }
     // Load+store, not fetch_add: global-mode hits come from one thread at a
     // time (workers run buffered through sinks), and the trace length is a
@@ -182,7 +183,14 @@ class Coverage {
 
   static std::string SiteKey(const Site& site);
 
-  static thread_local CoverageSink* tls_sink_;
+  // Hit's global-mode slow path. The exchange() keeps the distinct-hit
+  // accounting exact even if legacy-mode code races on one site (each site
+  // increments hit_count_ exactly once).
+  void CommitFirstHit(int site);
+
+  // constinit: no dynamic initialization, so Hit reads the slot directly
+  // instead of calling the TLS init wrapper first.
+  static constinit thread_local CoverageSink* tls_sink_;
 
   mutable std::mutex mu_;                     // guards sites_ and pending_
   std::deque<Site> sites_;                    // stable storage; ids are indices
@@ -194,28 +202,21 @@ class Coverage {
   std::atomic<bool> enabled_{true};
 };
 
-// Suppresses campaign-feedback coverage recording on the current thread for
-// the scope's lifetime: mutes the installed sink if one exists (worker
-// thread), otherwise disables the global registry (a thread without a
-// sink).
 inline void CoverageSink::Record(int site, const Coverage& cov) {
   if (muted_) {
     return;
   }
   ++trace_len_;
-  if (!case_hit_[site]) {
-    case_hit_[site] = 1;
-    case_marks_.push_back(site);
-    if (!cov.Committed(site)) {
-      ++new_since_case_;
-    }
-  }
-  if (!epoch_hit_[site]) {
-    epoch_hit_[site] = 1;
-    epoch_sites_.push_back(site);
+  // Nearly every hit re-hits a site the case and the epoch already have.
+  if (marks_[site] != (kCaseMark | kEpochMark)) {
+    RecordFirst(site, cov);
   }
 }
 
+// Suppresses campaign-feedback coverage recording on the current thread for
+// the scope's lifetime: mutes the installed sink if one exists (worker
+// thread), otherwise disables the global registry (a thread without a
+// sink).
 class ScopedCoverageSuppress {
  public:
   ScopedCoverageSuppress();

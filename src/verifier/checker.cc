@@ -34,6 +34,7 @@ Checker::Checker(const Program& prog, VerifierEnv& env, VerifierResult& result)
     : prog_(prog), env_(env), res_(result), features_(KernelFeatures::For(env.version)) {
   aux_.resize(prog.insns.size());
   explored_.resize(prog.insns.size());
+  loop_index_.resize(prog.insns.size());
   prune_point_.assign(prog.insns.size(), 0);
   reachable_.assign(prog.insns.size(), 0);
 }
@@ -76,6 +77,7 @@ int Checker::Run() {
     return err;
   }
   err = DoCheck();
+  res_.insns_processed = insns_processed_;
   if (err != 0) {
     BVF_COV();
     res_.err = err;
@@ -88,7 +90,6 @@ int Checker::Run() {
     return err;
   }
   BVF_COV();
-  res_.insns_processed = insns_processed_;
   res_.err = 0;
   return 0;
 }
@@ -219,56 +220,68 @@ void Checker::PushBranch(int idx, VerifierState state, bool back_edge) {
 }
 
 bool Checker::TryPrune(int idx, VerifierState& state, bool via_back_edge, int* err) {
-  auto& seen = explored_[idx];
-  // One fingerprint of the incoming state replaces up to kMaxExploredPerInsn
-  // full state compares on the back-edge (loop-detection) path: a mismatch
-  // proves inequality, a match falls through to the exact StateEqual, so the
-  // prune decisions are identical with the fast path on or off. Subsumption
-  // has no such shortcut (it is an order, not an equivalence), but forward
-  // arrivals scan far shorter lists in practice.
-  const bool use_fp = PruneFingerprintEnabled();
-  // Hashing is itself a cost, so fingerprints exist only where they pay:
-  // the incoming state is hashed on back-edge arrivals with a non-empty
-  // list, and stored states are hashed lazily the first time a back edge
-  // scans their insn. Prune points no back edge ever reaches — the large
-  // majority — never hash anything.
-  uint64_t fp = 0;
-  bool have_fp = false;
-  if (use_fp && via_back_edge && !seen.empty()) {
-    fp = StateFingerprint(state);
-    have_fp = true;
-  }
-  for (Explored& old_entry : seen) {
-    if (via_back_edge) {
-      if (have_fp) {
-        if (!old_entry.has_fingerprint) {
-          old_entry.fingerprint = StateFingerprint(old_entry.state);
-          old_entry.has_fingerprint = true;
-        }
-        if (old_entry.fingerprint != fp) {
-          continue;  // hash-unequal proves state-unequal
+  std::vector<VerifierState>& seen = explored_[idx];
+  // With the fast path on, a back-edge arrival hashes its state once and
+  // looks it up in the prune point's fingerprint index: an absent
+  // fingerprint proves no explored state equals it, and each present one is
+  // confirmed by the exact StateEqual, so the verdict is the plain scan's.
+  const bool use_index = via_back_edge && !seen.empty() && PruneFingerprintEnabled();
+  const uint64_t fp = use_index ? StateFingerprint(state) : 0;
+  if (via_back_edge) {
+    // Loop detection: only an exactly repeated state proves the walk does
+    // not terminate. Pruning a back-edge arrival against a wider state would
+    // accept loops with no termination proof (the kernel's
+    // states_maybe_looping guard), so subsumption is not tried here.
+    bool repeat = false;
+    if (use_index) {
+      repeat = RepeatsExploredState(idx, state, fp);
+    } else {
+      for (const VerifierState& old_state : seen) {
+        if (StateEqual(old_state, state)) {
+          repeat = true;
+          break;
         }
       }
-      if (StateEqual(old_entry.state, state)) {
+    }
+    if (repeat) {
+      BVF_COV();
+      Log("infinite loop detected at insn %d", idx);
+      *err = -EINVAL;
+      return true;
+    }
+  } else {
+    // Subsumption pruning applies to forward (converging) arrivals only.
+    for (const VerifierState& old_state : seen) {
+      if (StateSubsumes(old_state, state)) {
         BVF_COV();
-        Log("infinite loop detected at insn %d", idx);
-        *err = -EINVAL;
+        ++res_.states_pruned;
         return true;
       }
-      continue;
-    }
-    // Subsumption pruning applies to forward (converging) arrivals only.
-    // Pruning a back-edge arrival against a wider state would accept loops
-    // with no termination proof (the kernel's states_maybe_looping guard).
-    if (StateSubsumes(old_entry.state, state)) {
-      BVF_COV();
-      ++res_.states_pruned;
-      return true;
     }
   }
   if (seen.size() < kMaxExploredPerInsn) {
-    Explored entry{fp, have_fp, CloneState(state)};
-    seen.push_back(std::move(entry));
+    seen.push_back(CloneState(state));
+    if (use_index) {
+      loop_index_[idx]->Append(fp);  // the lookup indexed every earlier entry
+    }
+  }
+  return false;
+}
+
+bool Checker::RepeatsExploredState(int idx, const VerifierState& state, uint64_t fp) {
+  const std::vector<VerifierState>& seen = explored_[idx];
+  std::unique_ptr<LoopIndex>& index = loop_index_[idx];
+  if (index == nullptr) {
+    index.reset(new LoopIndex);  // default-init: fingerprint slots stay unwritten
+  }
+  while (index->indexed < seen.size()) {
+    index->Append(StateFingerprint(seen[index->indexed]));
+  }
+  for (size_t slot = fp & (LoopIndex::kSlots - 1); index->entry[slot] != 0;
+       slot = (slot + 1) & (LoopIndex::kSlots - 1)) {
+    if (index->fingerprint[slot] == fp && StateEqual(seen[index->entry[slot] - 1], state)) {
+      return true;
+    }
   }
   return false;
 }

@@ -6,7 +6,9 @@
 #ifndef SRC_VERIFIER_CHECKER_H_
 #define SRC_VERIFIER_CHECKER_H_
 
+#include <array>
 #include <cstdarg>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -33,6 +35,9 @@ class Checker {
   int ProcessInsn(VerifierState& state, int idx, int* next);
   // Returns true if the path at |idx| is subsumed by an explored state.
   bool TryPrune(int idx, VerifierState& state, bool via_back_edge, int* err);
+  // Back-edge arrival with the fingerprint fast path: true if an explored
+  // state at |idx| equals |state|, whose fingerprint is |fp|.
+  bool RepeatsExploredState(int idx, const VerifierState& state, uint64_t fp);
   // Joins the current frame's R0..R9 into aux_[idx].claims (state audit).
   void RecordStateClaims(const VerifierState& state, int idx);
   void PushBranch(int idx, VerifierState state, bool back_edge);
@@ -106,16 +111,35 @@ class Checker {
     bool back_edge;
   };
   std::vector<Pending> stack_;
-  // Explored states per prune point, each carrying its StateFingerprint so
-  // back-edge equality scans can reject non-matches without a full compare.
-  struct Explored {
-    uint64_t fingerprint;
-    // Lazily filled: the hash is computed the first time a back-edge arrival
-    // scans this insn's list, never for insns no back edge reaches.
-    bool has_fingerprint;
-    VerifierState state;
+  // Explored states per prune point, in arrival order.
+  std::vector<std::vector<VerifierState>> explored_;
+  // Fingerprint index over one prune point's explored list, so a back-edge
+  // arrival finds the entries that may equal it without scanning the list:
+  // open addressing with linear probing over twice the list cap, so a probe
+  // reaches an empty slot within a few steps. Built on the first back-edge
+  // arrival at the prune point; prune points no back edge reaches — the large
+  // majority — never hash anything. It covers entries [0, indexed): entries
+  // appended by forward arrivals are hashed in on the next back-edge arrival.
+  struct LoopIndex {
+    static constexpr size_t kSlots = 2 * kMaxExploredPerInsn;  // power of two
+    static_assert((kSlots & (kSlots - 1)) == 0);
+    static_assert(kMaxExploredPerInsn < 255, "entry positions are stored in a byte");
+
+    std::array<uint64_t, kSlots> fingerprint;  // read only where entry != 0
+    std::array<uint8_t, kSlots> entry{};       // explored position + 1; 0 = empty
+    size_t indexed = 0;
+
+    // Indexes explored entry |indexed| under |fp|.
+    void Append(uint64_t fp) {
+      size_t slot = fp & (kSlots - 1);
+      while (entry[slot] != 0) {
+        slot = (slot + 1) & (kSlots - 1);
+      }
+      fingerprint[slot] = fp;
+      entry[slot] = static_cast<uint8_t>(++indexed);
+    }
   };
-  std::vector<std::vector<Explored>> explored_;
+  std::vector<std::unique_ptr<LoopIndex>> loop_index_;
   std::vector<uint8_t> prune_point_;
   // Dead path states awaiting reuse by CloneState (bounded; per-program).
   std::vector<VerifierState> state_pool_;

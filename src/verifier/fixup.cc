@@ -5,6 +5,7 @@
 // with other rewrite passes").
 
 #include <cerrno>
+#include <utility>
 
 #include "src/kernel/coverage.h"
 #include "src/verifier/checker.h"
@@ -69,7 +70,7 @@ int Checker::Fixup() {
     env_.instrument(res_.prog, aux_);
   }
 
-  res_.aux = aux_;
+  res_.aux = std::move(aux_);  // the last use: Run() returns after Fixup
   return 0;
 }
 

@@ -4,10 +4,6 @@
 
 namespace bpf {
 
-Tnum TnumConst(uint64_t value) { return Tnum{value, 0}; }
-
-Tnum TnumUnknown() { return Tnum{0, ~0ull}; }
-
 Tnum TnumRange(uint64_t min, uint64_t max) {
   if (min > max) {
     return TnumUnknown();
@@ -110,34 +106,12 @@ Tnum TnumMul(Tnum a, Tnum b) {
 
 Tnum TnumNeg(Tnum a) { return TnumSub(TnumConst(0), a); }
 
-Tnum TnumIntersect(Tnum a, Tnum b) {
-  const uint64_t v = a.value | b.value;
-  const uint64_t mu = a.mask & b.mask;
-  return Tnum{v & ~mu, mu};
-}
-
-Tnum TnumUnion(Tnum a, Tnum b) {
-  const uint64_t v = a.value & b.value;
-  const uint64_t mu = a.mask | b.mask | (a.value ^ b.value);
-  return Tnum{v & ~mu, mu};
-}
-
-Tnum TnumCast(Tnum a, uint8_t size) {
-  if (size >= 8) {
-    return a;
-  }
-  const uint64_t keep = (1ull << (size * 8)) - 1;
-  return Tnum{a.value & keep, a.mask & keep};
-}
-
 bool TnumIn(Tnum a, Tnum b) {
   if ((b.mask & ~a.mask) != 0) {
     return false;
   }
   return a.value == (b.value & ~a.mask);
 }
-
-Tnum TnumSubreg(Tnum a) { return TnumCast(a, 4); }
 
 Tnum TnumClearSubreg(Tnum a) { return TnumLshift(TnumRshift(a, 32), 32); }
 

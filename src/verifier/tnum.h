@@ -27,8 +27,10 @@ struct Tnum {
   std::string ToString() const;
 };
 
-Tnum TnumConst(uint64_t value);
-Tnum TnumUnknown();
+// The one-liners below are inline: the verifier's transfer functions and
+// state-claim joins call them on every walked instruction.
+inline Tnum TnumConst(uint64_t value) { return Tnum{value, 0}; }
+inline Tnum TnumUnknown() { return Tnum{0, ~0ull}; }
 // Smallest tnum containing every value in [min, max].
 Tnum TnumRange(uint64_t min, uint64_t max);
 
@@ -45,18 +47,32 @@ Tnum TnumNeg(Tnum a);
 
 // Intersection: both a and b are known to hold; returns the combined
 // knowledge (kernel: tnum_intersect).
-Tnum TnumIntersect(Tnum a, Tnum b);
+inline Tnum TnumIntersect(Tnum a, Tnum b) {
+  const uint64_t v = a.value | b.value;
+  const uint64_t mu = a.mask & b.mask;
+  return Tnum{v & ~mu, mu};
+}
 // Union: either a or b holds (kernel: tnum_union — used at state merges).
-Tnum TnumUnion(Tnum a, Tnum b);
+inline Tnum TnumUnion(Tnum a, Tnum b) {
+  const uint64_t v = a.value & b.value;
+  const uint64_t mu = a.mask | b.mask | (a.value ^ b.value);
+  return Tnum{v & ~mu, mu};
+}
 
 // Truncates to the low |size| bytes.
-Tnum TnumCast(Tnum a, uint8_t size);
+inline Tnum TnumCast(Tnum a, uint8_t size) {
+  if (size >= 8) {
+    return a;
+  }
+  const uint64_t keep = (1ull << (size * 8)) - 1;
+  return Tnum{a.value & keep, a.mask & keep};
+}
 
 // True if every value of b is representable in a (kernel: tnum_in).
 bool TnumIn(Tnum a, Tnum b);
 
 // 32-bit subregister helpers.
-Tnum TnumSubreg(Tnum a);                    // low 32 bits
+inline Tnum TnumSubreg(Tnum a) { return TnumCast(a, 4); }  // low 32 bits
 Tnum TnumClearSubreg(Tnum a);               // zero the low 32 bits
 Tnum TnumWithSubreg(Tnum reg, Tnum subreg); // splice a 32-bit subreg in
 Tnum TnumConstSubreg(Tnum reg, uint32_t value);

@@ -128,12 +128,14 @@ const CtxDescriptor& CtxDescriptorFor(ProgType type);
 // Runs the full pipeline on |prog|.
 VerifierResult VerifyProgram(const Program& prog, VerifierEnv& env);
 
-// Process-wide switch for the pruning-loop fingerprint fast path (cached
-// StateFingerprint compare before the exact StateEqual on back-edge
-// arrivals). On by default; equality outcomes are identical either way, so
-// this only exists so benchmarks can measure the unaccelerated walk and
-// paranoid tests can cross-check the two paths. Not thread-safe against
-// in-flight verifications; flip it only between campaigns.
+// Process-wide switch for the pruning-loop fingerprint fast path: back-edge
+// arrivals look their StateFingerprint up in a per-prune-point index and
+// confirm candidates with the exact StateEqual, instead of scanning the
+// explored list with StateEqual. On by default; equality outcomes are
+// identical either way, so this only exists so benchmarks can measure the
+// unaccelerated walk and tests can cross-check the two paths. Not
+// thread-safe against in-flight verifications; flip it only between
+// campaigns.
 void SetPruneFingerprintEnabled(bool enabled);
 bool PruneFingerprintEnabled();
 

@@ -1,6 +1,7 @@
 #include "src/verifier/verifier_state.h"
 
 #include <algorithm>
+#include <cstring>
 
 namespace bpf {
 
@@ -127,57 +128,95 @@ bool StateEqual(const VerifierState& a, const VerifierState& b) {
   return a.frames == b.frames && a.acquired_refs == b.acquired_refs;
 }
 
-uint64_t StateFingerprint(const VerifierState& state) {
-  uint64_t h = 0x9e3779b97f4a7c15ull ^ (state.frames.size() * 0xff51afd7ed558ccdull);
-  const auto mix = [&h](uint64_t v) {
+namespace {
+
+constexpr uint64_t kFpMul = 0xff51afd7ed558ccdull;
+constexpr uint64_t kFpGolden = 0x9e3779b97f4a7c15ull;
+
+inline uint64_t Rotl(uint64_t v, int n) { return (v << n) | (v >> (64 - n)); }
+
+// Four independent mix lanes. Each word goes to a fixed lane by its position
+// in the walk, so equal states still feed equal words to equal lanes, and the
+// lanes' multiplies overlap instead of forming one serial chain.
+struct FingerprintLanes {
+  uint64_t lane[4];
+
+  static void Mix(uint64_t& h, uint64_t v) {
     h ^= v;
-    h *= 0xff51afd7ed558ccdull;
-    h = (h << 23) | (h >> 41);
-  };
+    h *= kFpMul;
+    h = Rotl(h, 23);
+  }
+
+  // Four consecutive words, one per lane.
+  void Mix4(uint64_t a, uint64_t b, uint64_t c, uint64_t d) {
+    Mix(lane[0], a);
+    Mix(lane[1], b);
+    Mix(lane[2], c);
+    Mix(lane[3], d);
+  }
+
+  uint64_t Finish() const {
+    uint64_t h = lane[0] ^ Rotl(lane[1], 16) ^ Rotl(lane[2], 32) ^ Rotl(lane[3], 48);
+    // Full avalanche, so the low bits (the checker's index slot) depend on
+    // every lane.
+    h ^= h >> 33;
+    h *= kFpMul;
+    h ^= h >> 33;
+    return h;
+  }
+};
+
+// One word per register from the fields that discriminate the states loops
+// actually produce (the induction variable moves its value and bounds
+// together): the packed type/off/id word, var_off.value and a bounds fold,
+// combined by multiplies that do not depend on each other.
+uint64_t RegWord(const RegState& reg) {
+  const uint64_t head = static_cast<uint64_t>(reg.type) |
+                        (static_cast<uint64_t>(static_cast<uint32_t>(reg.off)) << 8) |
+                        (static_cast<uint64_t>(reg.id) << 40);
+  return head * kFpMul + Rotl(reg.var_off.value, 21) * kFpGolden +
+         (static_cast<uint64_t>(reg.smin) ^ Rotl(reg.umax, 43));
+}
+
+}  // namespace
+
+uint64_t StateFingerprint(const VerifierState& state) {
   // Soundness rule: every value mixed in must be a deterministic function of
   // fields the member-wise operator== chains compare, in a fixed order.
   // Omitting or combining fields is fine (equal states still collide onto
   // one fingerprint, and a collision merely costs the full StateEqual
   // fallback); mixing anything outside the compared set is not. The
-  // selection below is deliberately slim — this runs once per back-edge
-  // arrival at a prune point, and three words per register discriminate the
-  // states loops actually produce (the induction variable moves its value
-  // and bounds together).
-  const auto reg_digest = [&mix](const RegState& reg) {
-    mix(static_cast<uint64_t>(reg.type) |
-        (static_cast<uint64_t>(static_cast<uint32_t>(reg.off)) << 8) |
-        (static_cast<uint64_t>(reg.id) << 40));
-    mix(reg.var_off.value);
-    mix(static_cast<uint64_t>(reg.smin) ^ (reg.umax * 0x9e3779b97f4a7c15ull));
-  };
-  mix(state.acquired_refs.size());
+  // selection is deliberately slim: this runs once per back-edge arrival at
+  // a prune point.
+  FingerprintLanes fp{{kFpGolden, kFpGolden ^ kFpMul, ~kFpGolden,
+                       state.frames.size() * kFpMul}};
+  FingerprintLanes::Mix(fp.lane[3], state.acquired_refs.size());
   for (int ref : state.acquired_refs) {
-    mix(static_cast<uint64_t>(static_cast<uint32_t>(ref)) + 0x100);
+    FingerprintLanes::Mix(fp.lane[3], static_cast<uint64_t>(static_cast<uint32_t>(ref)) + 0x100);
   }
   for (const FuncState& frame : state.frames) {
-    mix(static_cast<uint64_t>(static_cast<uint32_t>(frame.callsite)) + 1);
-    for (const RegState& reg : frame.regs) {
-      reg_digest(reg);
-    }
-    for (int i = 0; i < kStackSlots; i += 8) {
-      uint64_t word = 0;
-      for (int j = 0; j < 8; ++j) {
-        word |= static_cast<uint64_t>(frame.stack_types[i + j]) << (8 * j);
-      }
-      mix(word);
-    }
-    // Entries are slot-ordered, so this mixes the same values in the same
-    // order as a dense ascending slot walk; stale payloads under non-spill
-    // types are compared by operator== but (soundly) omitted here.
+    const RegState* regs = frame.regs;
+    static_assert(kNumProgRegs == 11);
+    fp.Mix4(RegWord(regs[0]), RegWord(regs[1]), RegWord(regs[2]), RegWord(regs[3]));
+    fp.Mix4(RegWord(regs[4]), RegWord(regs[5]), RegWord(regs[6]), RegWord(regs[7]));
+    fp.Mix4(RegWord(regs[8]), RegWord(regs[9]), RegWord(regs[10]),
+            static_cast<uint64_t>(static_cast<uint32_t>(frame.callsite)) + 1);
+    // The slot types, eight per word.
+    static_assert(sizeof(frame.stack_types) == 8 * 8);
+    uint64_t types[8];
+    std::memcpy(types, frame.stack_types.data(), sizeof(types));
+    fp.Mix4(types[0], types[1], types[2], types[3]);
+    fp.Mix4(types[4], types[5], types[6], types[7]);
+    // Entries are slot-ordered, so equal frames mix the same values in the
+    // same order; stale payloads under non-spill types are compared by
+    // operator== but (soundly) omitted here.
     for (const SpillSlot& entry : frame.spills) {
-      if (frame.slot_type(entry.slot) != SlotType::kSpill) {
-        continue;
+      if (frame.slot_type(entry.slot) == SlotType::kSpill) {
+        FingerprintLanes::Mix(fp.lane[entry.slot & 3], RegWord(entry.reg) + entry.slot);
       }
-      mix(static_cast<uint64_t>(entry.slot) + 0x200);
-      reg_digest(entry.reg);
     }
   }
-  return h;
+  return fp.Finish();
 }
 
 }  // namespace bpf

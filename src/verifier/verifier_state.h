@@ -150,8 +150,9 @@ bool StateEqual(const VerifierState& a, const VerifierState& b);
 // 64-bit fingerprint over a subset of the fields StateEqual compares:
 // StateEqual(a, b) implies StateFingerprint(a) == StateFingerprint(b), so a
 // fingerprint mismatch proves inequality without walking both states. The
-// checker caches one fingerprint per explored state and uses it to skip the
-// full compare on back-edge arrivals (the loop-detection hot path).
+// checker indexes the explored states of each loop head by fingerprint, so a
+// back-edge arrival (the loop-detection hot path) compares in full only the
+// states that share its fingerprint.
 uint64_t StateFingerprint(const VerifierState& state);
 
 }  // namespace bpf

@@ -83,6 +83,7 @@ TEST(VerifierStateTest, StaleSpillPayloadStaysObservableInEquality) {
   b.cur().SetSlot(0, SlotType::kMisc);
   EXPECT_EQ(a.cur().slot_type(0), b.cur().slot_type(0));
   EXPECT_FALSE(StateEqual(a, b));  // stale payload still observable
+  EXPECT_EQ(StateFingerprint(a), StateFingerprint(b));  // but not hashed
   a.cur().SetSlot(0, SlotType::kMisc);  // explicit clear restores equality
   EXPECT_TRUE(StateEqual(a, b));
   // And the spill payload round-trips through the sparse store.
@@ -166,6 +167,25 @@ TEST_F(StateExplorationTest, UnknownCounterLoopRejected) {
   VerifierResult result;
   const int err = bpf_.ProgLoad(b.Build(), &result);
   EXPECT_TRUE(err == -EINVAL || err == -E2BIG) << result.log;
+}
+
+TEST_F(StateExplorationTest, TooLargeRejectionReportsProcessedCount) {
+  // A counting loop whose bound the walk cannot reach: rejected with E2BIG,
+  // and the result's insns_processed is the count the log line names.
+  ProgramBuilder b;
+  b.Mov(kR0, 0);
+  b.Mov(kR6, 1 << 30);
+  b.Add(kR0, 1);
+  b.Sub(kR6, 1);
+  b.JmpIf(kJmpJne, kR6, 0, -3);
+  b.Ret();
+  VerifierResult result;
+  ASSERT_EQ(bpf_.ProgLoad(b.Build(), &result), -E2BIG) << result.log;
+  const size_t at = result.log.find("BPF program is too large: processed ");
+  ASSERT_NE(at, std::string::npos) << result.log;
+  const unsigned long logged = std::stoul(result.log.substr(at + 36));
+  EXPECT_EQ(result.insns_processed, logged);
+  EXPECT_GT(result.insns_processed, 131072u);
 }
 
 TEST_F(StateExplorationTest, NestedBoundedLoopsAccepted) {
