@@ -56,9 +56,11 @@
 // static-analysis passes: CFG dump, lints, liveness, and the per-instruction
 // abstract-claim vs concrete-witness diff (indicator #3's view of the case).
 //
-// Unknown flags, malformed numbers, extra positional arguments and unknown
-// --interp/--verdict-cache values are usage errors: the flag is named on
-// stderr and the exit status is 2.
+// Unknown flags, malformed numbers, extra positional arguments, unknown
+// --interp/--verdict-cache values, and flags that would be silently ignored
+// (--checkpoint-every without --checkpoint; --worker-retries, --hang-timeout,
+// --quarantine and --test-crash-* without --supervise) are usage errors: the
+// flag is named on stderr and the exit status is 2.
 //
 // With --smoke, the run acts as the robustness gate: it asserts that every
 // iteration landed in a classified outcome bucket and (when confirmation is
@@ -76,6 +78,7 @@
 #include <cstring>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/checkpoint.h"
@@ -133,158 +136,158 @@ bool ParseOnOff(const char* arg, const char* text) {
   return false;
 }
 
+bpf::ExecEngine ParseEngine(const char* arg, const char* text) {
+  if (strcmp(text, "decoded") == 0) {
+    return bpf::ExecEngine::kDecoded;
+  }
+  if (strcmp(text, "legacy") == 0) {
+    return bpf::ExecEngine::kLegacy;
+  }
+  if (strcmp(text, "jit") != 0) {
+    UsageError(arg, "expected decoded, legacy or jit");
+  }
+  return bpf::ExecEngine::kJit;
+}
+
+// Everything the command line sets: the campaign options themselves plus the
+// driver's own switches.
+struct Cli {
+  bvf::CampaignOptions options;
+  bool analysis = false;
+  bool smoke = false;
+  bool supervise = false;
+  std::string replay_quarantine;
+};
+
+// One flag. A name ending in '=' takes a value (--name=value); |apply| gets
+// the whole argument (for error messages) and the value ("" for a switch).
+// |needs| names a flag that must also be given, or is null.
+struct Flag {
+  const char* name;
+  const char* needs;
+  void (*apply)(Cli& cli, const char* arg, const char* value);
+};
+
+const Flag kFlags[] = {
+    {"--analysis", nullptr, [](Cli& c, const char*, const char*) { c.analysis = true; }},
+    {"--smoke", nullptr, [](Cli& c, const char*, const char*) { c.smoke = true; }},
+    {"--jobs=", nullptr,
+     [](Cli& c, const char* arg, const char* v) {
+       c.options.jobs = ParseInt(arg, v);
+       if (c.options.jobs < 1) {
+         UsageError(arg, "need at least one job");
+       }
+     }},
+    {"--verdict-cache=", nullptr,
+     [](Cli& c, const char* arg, const char* v) { c.options.verdict_cache = ParseOnOff(arg, v); }},
+    {"--interp=", nullptr,
+     [](Cli& c, const char* arg, const char* v) { c.options.interp_engine = ParseEngine(arg, v); }},
+    {"--jit-oracle", nullptr,
+     [](Cli& c, const char*, const char*) { c.options.jit_oracle = true; }},
+    {"--conformance=", nullptr,
+     [](Cli& c, const char*, const char* v) { c.options.conformance_dir = v; }},
+    {"--metamorph", nullptr, [](Cli& c, const char*, const char*) { c.options.metamorph = true; }},
+    {"--metamorph-k=", nullptr,
+     [](Cli& c, const char* arg, const char* v) { c.options.metamorph_k = ParseInt(arg, v); }},
+    {"--fault-rate=", nullptr,
+     [](Cli& c, const char* arg, const char* v) {
+       c.options.fault.probability = ParseProbability(arg, v);
+     }},
+    {"--confirm-runs=", nullptr,
+     [](Cli& c, const char* arg, const char* v) { c.options.confirm_runs = ParseInt(arg, v); }},
+    {"--checkpoint=", nullptr,
+     [](Cli& c, const char*, const char* v) { c.options.checkpoint_path = v; }},
+    {"--checkpoint-every=", "--checkpoint=",
+     [](Cli& c, const char* arg, const char* v) { c.options.checkpoint_every = ParseU64(arg, v); }},
+    {"--resume=", nullptr, [](Cli& c, const char*, const char* v) { c.options.resume_path = v; }},
+    {"--stop-after=", nullptr,
+     [](Cli& c, const char* arg, const char* v) { c.options.stop_after = ParseU64(arg, v); }},
+    {"--supervise", nullptr, [](Cli& c, const char*, const char*) { c.supervise = true; }},
+    {"--worker-retries=", "--supervise",
+     [](Cli& c, const char* arg, const char* v) { c.options.worker_retries = ParseInt(arg, v); }},
+    {"--hang-timeout=", "--supervise",
+     [](Cli& c, const char* arg, const char* v) { c.options.hang_timeout_ms = ParseInt(arg, v); }},
+    {"--quarantine=", "--supervise",
+     [](Cli& c, const char*, const char* v) { c.options.quarantine_path = v; }},
+    {"--journal=", nullptr, [](Cli& c, const char*, const char* v) { c.options.journal_path = v; }},
+    {"--replay-quarantine=", nullptr,
+     [](Cli& c, const char*, const char* v) { c.replay_quarantine = v; }},
+    {"--test-crash-at=", "--supervise",
+     [](Cli& c, const char* arg, const char* v) { c.options.test_crash_at = ParseU64(arg, v); }},
+    {"--test-crash-mode=", "--supervise",
+     [](Cli& c, const char* arg, const char* v) { c.options.test_crash_mode = ParseInt(arg, v); }},
+    {"--test-crash-marker=", "--supervise",
+     [](Cli& c, const char*, const char* v) { c.options.test_crash_marker = v; }},
+};
+
+const Flag* FindFlag(const char* arg) {
+  for (const Flag& flag : kFlags) {
+    const size_t len = strlen(flag.name);
+    if (flag.name[len - 1] == '=' ? strncmp(arg, flag.name, len) == 0
+                                  : strcmp(arg, flag.name) == 0) {
+      return &flag;
+    }
+  }
+  return nullptr;
+}
+
+Cli ParseCommandLine(int argc, char** argv) {
+  Cli cli;
+  cli.options.version = bpf::KernelVersion::kBpfNext;
+  cli.options.bugs = bpf::BugConfig::All();
+  cli.options.iterations = 3000;
+  cli.options.limits.wall_budget_ms = 2000;  // no case may hang the campaign
+  std::set<std::string> given;
+  std::vector<std::pair<const Flag*, const char*>> used;  // flag, argument
+  int npos = 0;
+  for (int i = 1; i < argc; ++i) {
+    const char* arg = argv[i];
+    if (const Flag* flag = FindFlag(arg)) {
+      flag->apply(cli, arg, arg + strlen(flag->name));
+      given.insert(flag->name);
+      used.emplace_back(flag, arg);
+    } else if (arg[0] == '-') {
+      UsageError(arg, "unknown flag");
+    } else if (npos == 0) {
+      cli.options.iterations = ParseU64(arg, arg);
+      ++npos;
+    } else if (npos == 1) {
+      cli.options.seed = ParseU64(arg, arg);
+      ++npos;
+    } else {
+      UsageError(arg, "unexpected argument (at most [iterations] [seed])");
+    }
+  }
+  // A flag whose partner is missing would be silently ignored.
+  for (const auto& [flag, arg] : used) {
+    if (flag->needs != nullptr && given.count(flag->needs) == 0) {
+      const std::string why = "needs " + std::string(flag->needs, strcspn(flag->needs, "="));
+      UsageError(arg, why.c_str());
+    }
+  }
+  return cli;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace bvf;
 
-  bool analysis = false;
-  bool smoke = false;
-  double fault_rate = 0.0;
-  int confirm_runs = 0;
-  const char* checkpoint_path = nullptr;
-  uint64_t checkpoint_every = 0;
-  const char* resume_path = nullptr;
-  uint64_t stop_after = 0;
-  int jobs = 1;
-  bool verdict_cache = false;
-  bpf::ExecEngine interp_engine = bpf::ExecEngine::kDecoded;
-  bool jit_oracle = false;
-  const char* conformance_dir = nullptr;
-  bool metamorph = false;
-  int metamorph_k = 2;
-  bool supervise = false;
-  int worker_retries = 3;
-  int hang_timeout_ms = 30000;
-  const char* quarantine_path = nullptr;
-  const char* journal_path = nullptr;
-  const char* replay_quarantine = nullptr;
-  uint64_t test_crash_at = 0;
-  int test_crash_mode = 0;
-  const char* test_crash_marker = nullptr;
-  uint64_t positional[2] = {3000, 1};  // iterations, seed
-  int npos = 0;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (strcmp(arg, "--analysis") == 0) {
-      analysis = true;
-    } else if (strcmp(arg, "--smoke") == 0) {
-      smoke = true;
-    } else if (strncmp(arg, "--jobs=", 7) == 0) {
-      jobs = ParseInt(arg, arg + 7);
-      if (jobs < 1) {
-        UsageError(arg, "need at least one job");
-      }
-    } else if (strncmp(arg, "--verdict-cache=", 16) == 0) {
-      verdict_cache = ParseOnOff(arg, arg + 16);
-    } else if (strncmp(arg, "--interp=", 9) == 0) {
-      const char* engine = arg + 9;
-      if (strcmp(engine, "decoded") == 0) {
-        interp_engine = bpf::ExecEngine::kDecoded;
-      } else if (strcmp(engine, "legacy") == 0) {
-        interp_engine = bpf::ExecEngine::kLegacy;
-      } else if (strcmp(engine, "jit") == 0) {
-        interp_engine = bpf::ExecEngine::kJit;
-      } else {
-        UsageError(arg, "expected decoded, legacy or jit");
-      }
-    } else if (strcmp(arg, "--jit-oracle") == 0) {
-      jit_oracle = true;
-    } else if (strncmp(arg, "--conformance=", 14) == 0) {
-      conformance_dir = arg + 14;
-    } else if (strcmp(arg, "--metamorph") == 0) {
-      metamorph = true;
-    } else if (strncmp(arg, "--metamorph-k=", 14) == 0) {
-      metamorph_k = ParseInt(arg, arg + 14);
-    } else if (strncmp(arg, "--fault-rate=", 13) == 0) {
-      fault_rate = ParseProbability(arg, arg + 13);
-    } else if (strncmp(arg, "--confirm-runs=", 15) == 0) {
-      confirm_runs = ParseInt(arg, arg + 15);
-    } else if (strncmp(arg, "--checkpoint=", 13) == 0) {
-      checkpoint_path = arg + 13;
-    } else if (strncmp(arg, "--checkpoint-every=", 19) == 0) {
-      checkpoint_every = ParseU64(arg, arg + 19);
-    } else if (strncmp(arg, "--resume=", 9) == 0) {
-      resume_path = arg + 9;
-    } else if (strncmp(arg, "--stop-after=", 13) == 0) {
-      stop_after = ParseU64(arg, arg + 13);
-    } else if (strcmp(arg, "--supervise") == 0) {
-      supervise = true;
-    } else if (strncmp(arg, "--worker-retries=", 17) == 0) {
-      worker_retries = ParseInt(arg, arg + 17);
-    } else if (strncmp(arg, "--hang-timeout=", 15) == 0) {
-      hang_timeout_ms = ParseInt(arg, arg + 15);
-    } else if (strncmp(arg, "--quarantine=", 13) == 0) {
-      quarantine_path = arg + 13;
-    } else if (strncmp(arg, "--journal=", 10) == 0) {
-      journal_path = arg + 10;
-    } else if (strncmp(arg, "--replay-quarantine=", 20) == 0) {
-      replay_quarantine = arg + 20;
-    } else if (strncmp(arg, "--test-crash-at=", 16) == 0) {
-      test_crash_at = ParseU64(arg, arg + 16);
-    } else if (strncmp(arg, "--test-crash-mode=", 18) == 0) {
-      test_crash_mode = ParseInt(arg, arg + 18);
-    } else if (strncmp(arg, "--test-crash-marker=", 20) == 0) {
-      test_crash_marker = arg + 20;
-    } else if (arg[0] == '-') {
-      UsageError(arg, "unknown flag");
-    } else if (npos < 2) {
-      positional[npos++] = ParseU64(arg, arg);
-    } else {
-      UsageError(arg, "unexpected argument (at most [iterations] [seed])");
-    }
-  }
-
-  CampaignOptions options;
-  options.version = bpf::KernelVersion::kBpfNext;
-  options.bugs = bpf::BugConfig::All();
-  options.iterations = positional[0];
-  options.seed = positional[1];
-  options.fault.probability = fault_rate;
-  options.confirm_runs = confirm_runs;
-  options.limits.wall_budget_ms = 2000;  // no case may hang the campaign
-  if (checkpoint_path != nullptr) {
-    options.checkpoint_path = checkpoint_path;
-    options.checkpoint_every = checkpoint_every;
-  }
-  if (resume_path != nullptr) {
-    options.resume_path = resume_path;
-  }
-  options.stop_after = stop_after;
-  options.jobs = jobs;
-  options.verdict_cache = verdict_cache;
-  options.interp_engine = interp_engine;
-  options.jit_oracle = jit_oracle;
-  if (conformance_dir != nullptr) {
-    options.conformance_dir = conformance_dir;
-  }
-  options.metamorph = metamorph;
-  options.metamorph_k = metamorph_k;
-  options.worker_retries = worker_retries;
-  options.hang_timeout_ms = hang_timeout_ms;
-  if (quarantine_path != nullptr) {
-    options.quarantine_path = quarantine_path;
-  }
-  if (journal_path != nullptr) {
-    options.journal_path = journal_path;
-  }
-  options.test_crash_at = test_crash_at;
-  options.test_crash_mode = test_crash_mode;
-  if (test_crash_marker != nullptr) {
-    options.test_crash_marker = test_crash_marker;
-  }
+  const Cli cli = ParseCommandLine(argc, argv);
+  const CampaignOptions& options = cli.options;
+  const bool supervise = cli.supervise;
 
   // Quarantine replay: no campaign, just re-execute each quarantined case
   // through the deterministic repro path and report its signatures.
-  if (replay_quarantine != nullptr) {
+  if (!cli.replay_quarantine.empty()) {
     std::vector<QuarantineRecord> records;
     std::string error;
-    if (LoadQuarantine(replay_quarantine, &records, &error) != 0) {
+    if (LoadQuarantine(cli.replay_quarantine, &records, &error) != 0) {
       fprintf(stderr, "replay failed: %s\n", error.c_str());
       return 2;
     }
     printf("replaying %zu quarantined case(s) from %s\n", records.size(),
-           replay_quarantine);
+           cli.replay_quarantine.c_str());
     for (const QuarantineRecord& record : records) {
       bool accepted = false;
       const std::set<std::string> sigs = ExecuteCase(record.the_case, options, &accepted);
@@ -310,9 +313,10 @@ int main(int argc, char** argv) {
   if (supervise) {
     printf("  supervised engine: %d worker process(es), epoch length %" PRIu64
            ", %d retries, %d ms hang timeout\n",
-           jobs, options.epoch_len, options.worker_retries, options.hang_timeout_ms);
+           options.jobs, options.epoch_len, options.worker_retries, options.hang_timeout_ms);
   } else {
-    printf("  epoch engine: %d job(s), epoch length %" PRIu64 "\n", jobs, options.epoch_len);
+    printf("  epoch engine: %d job(s), epoch length %" PRIu64 "\n", options.jobs,
+           options.epoch_len);
   }
 
   StructuredGenerator generator(options.version);
@@ -343,24 +347,24 @@ int main(int argc, char** argv) {
   printf("  sanitizer:       %zu mem sites, %zu alu checks, %.2fx footprint\n",
          stats.sanitizer.mem_sites, stats.sanitizer.alu_sites, stats.sanitizer.Footprint());
   printf("  faults injected: %" PRIu64 "\n", stats.fault_injected);
-  if (verdict_cache) {
+  if (options.verdict_cache) {
     printf("  verdict cache:   %" PRIu64 " hits / %" PRIu64 " misses (%.1f%% hit rate)\n",
            stats.verdict_cache_hits, stats.verdict_cache_misses,
            100 * stats.VerdictCacheHitRate());
   }
-  if (interp_engine != bpf::ExecEngine::kLegacy) {
+  if (options.interp_engine != bpf::ExecEngine::kLegacy) {
     printf("  decode cache:    %" PRIu64 " hits / %" PRIu64 " misses / %" PRIu64
            " evictions (%.1f%% hit rate)\n",
            stats.decode_cache_hits, stats.decode_cache_misses,
            stats.decode_cache_evictions, 100 * stats.DecodeCacheHitRate());
   }
-  if (interp_engine == bpf::ExecEngine::kJit) {
+  if (options.interp_engine == bpf::ExecEngine::kJit) {
     printf("  jit cache:       %" PRIu64 " hits / %" PRIu64 " misses / %" PRIu64
            " evictions (%.1f%% hit rate)\n",
            stats.jit_cache_hits, stats.jit_cache_misses, stats.jit_cache_evictions,
            100 * stats.JitCacheHitRate());
   }
-  if (jit_oracle) {
+  if (options.jit_oracle) {
     uint64_t jit_divergences = 0;
     for (const Finding& finding : stats.findings) {
       jit_divergences += finding.indicator == 5 ? 1 : 0;
@@ -376,7 +380,7 @@ int main(int argc, char** argv) {
            stats.conf_cases, stats.conf_passed, stats.conf_mismatches, stats.conf_rejects,
            stats.conf_seeded);
   }
-  if (metamorph) {
+  if (options.metamorph) {
     printf("  metamorph:       %" PRIu64 " bases, %" PRIu64 " variants; divergences %" PRIu64
            " verdict / %" PRIu64 " witness / %" PRIu64 " sanitizer\n",
            stats.metamorph_bases, stats.metamorph_variants,
@@ -412,7 +416,7 @@ int main(int argc, char** argv) {
     printf("\n");
   }
 
-  if (smoke) {
+  if (cli.smoke) {
     // Robustness gate: every iteration classified, nothing unclassified, and
     // (with confirmation on) every finding carries a verdict.
     int failures = 0;
@@ -479,7 +483,7 @@ int main(int argc, char** argv) {
   // deterministic) and minimize it to a near-guilty-instruction reproducer.
   // With --analysis, also run the static-analysis passes over the trigger.
   for (const Finding& finding : stats.findings) {
-    if (finding.indicator != 1 && !analysis) {
+    if (finding.indicator != 1 && !cli.analysis) {
       continue;
     }
     StructuredGenerator regen(options.version);
@@ -493,7 +497,7 @@ int main(int argc, char** argv) {
     if (!found) {
       continue;  // the trigger needed corpus mutation state; try the next one
     }
-    if (analysis) {
+    if (cli.analysis) {
       printf("\nstatic analysis of trigger for \"%s\"\n", finding.signature.c_str());
       printf("%s", AnalyzeCase(trigger, options).c_str());
     }

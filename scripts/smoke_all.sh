@@ -21,12 +21,15 @@
 #      prologue active (ASan).
 #   8. Metamorph gate: a short --metamorph --metamorph-k=2 campaign under
 #      ASan/UBSan must produce one bit-identical campaign digest across
-#      {--jobs=1, --jobs=4} x {--interp=decoded, --interp=legacy}, and the
-#      metamorph counter line must be identical on every leg.
+#      {--jobs=1, --jobs=4} x {--interp=decoded, --interp=legacy} plus a
+#      --supervise --jobs=2 leg, and the metamorph counter line must be
+#      identical on every leg (the supervised one included: its workers ship
+#      the digest-excluded counters in their result frames).
 #   9. Tier-1 label audit: every discovered ctest test must carry the tier1
 #      label (`ctest -N` count == `ctest -N -L tier1` count) and the suites
-#      this tree considers load-bearing (supervisor, journal, parallel,
-#      robustness, jit, conformance, prune fingerprint) must actually be
+#      this tree considers load-bearing (supervisor digest and counters,
+#      journal, parallel, checkpoint, counter lines, the options-fingerprint
+#      pin, jit, conformance, prune fingerprint) must actually be
 #      discovered, so nothing can silently drop out of the tier-1 gate. The
 #      prune-fingerprint suites (fast path vs plain scan, and the fingerprint
 #      contract) also run here under ASan/UBSan.
@@ -88,8 +91,14 @@ for INTERP in decoded legacy; do
 done
 
 echo
+echo "== campaign --metamorph --supervise --jobs=2 =="
+"$CAMPAIGN" "$MM_ITERATIONS" "$MM_SEED" --metamorph --metamorph-k=2 \
+    --supervise --jobs=2 --smoke | tee "$WORK/mm-supervise-jobs2.log"
+DIGESTS[supervise-2]="$(grep '^campaign-digest ' "$WORK/mm-supervise-jobs2.log" | awk '{print $2}')"
+
+echo
 REF="${DIGESTS[decoded-1]}"
-for KEY in decoded-4 legacy-1 legacy-4; do
+for KEY in decoded-4 legacy-1 legacy-4 supervise-2; do
     if [[ -z "$REF" || "${DIGESTS[$KEY]}" != "$REF" ]]; then
         echo "SMOKE FAIL: metamorph campaign digest at $KEY (${DIGESTS[$KEY]}) != decoded-1 ($REF)"
         exit 1
@@ -99,7 +108,7 @@ done
 # The oracle's volume counters (bases/variants/divergences) are digest-
 # excluded, so gate them separately: all four legs must report the same line.
 MMREF="$(grep 'metamorph:' "$WORK/mm-decoded-jobs1.log")"
-for KEY in decoded-jobs4 legacy-jobs1 legacy-jobs4; do
+for KEY in decoded-jobs4 legacy-jobs1 legacy-jobs4 supervise-jobs2; do
     MM="$(grep 'metamorph:' "$WORK/mm-$KEY.log")"
     if [[ -z "$MMREF" || "$MM" != "$MMREF" ]]; then
         echo "SMOKE FAIL: metamorph counters diverge at $KEY:"
@@ -108,7 +117,7 @@ for KEY in decoded-jobs4 legacy-jobs1 legacy-jobs4; do
         exit 1
     fi
 done
-echo "smoke: metamorph campaign digest $REF on all four engine/jobs legs"
+echo "smoke: metamorph campaign digest $REF on all five engine/jobs/topology legs"
 echo "smoke: metamorph counters identical ($(echo "$MMREF" | sed 's/^ *//'))"
 
 echo
@@ -131,7 +140,9 @@ fi
 # ctest then takes would read as "suite missing".
 TIER1_LIST="$(ctest --test-dir "$ASAN_DIR" -N -L tier1 2>/dev/null)"
 PRUNE_SUITES="PruneFingerprintTest FingerprintContractTest"
-for SUITE in SupervisorDigestTest JournalTest ParallelInvarianceTest CheckpointTest JitCacheTest JitEngineTest ConformanceCorpusTest AsmRoundTripTest $PRUNE_SUITES; do
+for SUITE in SupervisorDigestTest SupervisorCounterTest JournalTest ParallelInvarianceTest \
+        CheckpointTest ExcludedCountersTest FingerprintPinTest JitCacheTest JitEngineTest \
+        ConformanceCorpusTest AsmRoundTripTest $PRUNE_SUITES; do
     if ! grep -q "$SUITE" <<< "$TIER1_LIST"; then
         echo "SMOKE FAIL: load-bearing suite $SUITE not discovered under the tier1 label"
         exit 1

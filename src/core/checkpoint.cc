@@ -67,7 +67,7 @@ std::string FingerprintOptions(const CampaignOptions& options, const std::string
      << " version=" << static_cast<int>(options.version) << " seed=" << options.seed
      << " sanitize=" << options.sanitize << " audit=" << options.audit_state
      << " covfb=" << options.coverage_feedback << " covpts=" << options.coverage_points
-     << " resetcov=" << options.reset_coverage << " arena=" << options.arena_size
+     << " resetcov=1 arena=" << options.arena_size
      << " budget=" << options.arena_budget << " confirm=" << options.confirm_runs
      << " reuse=" << options.reuse_substrate << " tool=" << tool;
   os << " limits=" << options.limits.step_budget << "/" << options.limits.wall_budget_ms
@@ -133,38 +133,10 @@ int SaveCheckpoint(const std::string& path, const CampaignCheckpoint& checkpoint
   for (const std::string& key : checkpoint.coverage_keys) {
     os << "k " << Escape(key) << "\n";
   }
-  // Verdict-cache counters ride outside the SerializeStats body: they are
-  // resumable state but not part of the result digest (cache on/off must
-  // stay digest-comparable).
-  os << "vcache " << checkpoint.stats.verdict_cache_hits << " "
-     << checkpoint.stats.verdict_cache_misses << "\n";
-  os << "dcache " << checkpoint.stats.decode_cache_hits << " "
-     << checkpoint.stats.decode_cache_misses << " "
-     << checkpoint.stats.decode_cache_evictions << "\n";
-  os << "jcache " << checkpoint.stats.jit_cache_hits << " "
-     << checkpoint.stats.jit_cache_misses << " "
-     << checkpoint.stats.jit_cache_evictions << "\n";
-  // Metamorph volume counters: same discipline as the cache counters —
-  // resumable, but digest-excluded (the divergence outcomes/findings in the
-  // stats body are what the oracle contributes to the result).
-  os << "mmorph " << checkpoint.stats.metamorph_bases << " "
-     << checkpoint.stats.metamorph_variants << " "
-     << checkpoint.stats.metamorph_verdict_divergences << " "
-     << checkpoint.stats.metamorph_witness_divergences << " "
-     << checkpoint.stats.metamorph_sanitizer_divergences << "\n";
-  // Supervisor accounting and per-worker crash findings: digest-excluded for
-  // the same reason (a campaign that survived a crash must stay
-  // digest-comparable to one that never crashed).
-  os << "supv " << checkpoint.stats.worker_crashes << " "
-     << checkpoint.stats.worker_hangs << " " << checkpoint.stats.worker_exits << " "
-     << checkpoint.stats.worker_restarts << " " << checkpoint.stats.epochs_abandoned
-     << " " << checkpoint.stats.quarantined_cases << "\n";
-  // Conformance-prologue volume counters: digest-excluded like the cache
-  // counters (the mismatch/reject findings in the stats body are the result;
-  // these only describe how much corpus was driven).
-  os << "conf " << checkpoint.stats.conf_cases << " " << checkpoint.stats.conf_passed
-     << " " << checkpoint.stats.conf_mismatches << " " << checkpoint.stats.conf_rejects
-     << " " << checkpoint.stats.conf_seeded << "\n";
+  // Counters outside the SerializeStats body: resumable state, but not part
+  // of the result digest (cache on/off, a survived worker crash and the like
+  // must stay digest-comparable).
+  serialize::SerializeExcludedCounters(os, checkpoint.stats);
   os << "crashes " << checkpoint.stats.crash_findings.size() << "\n";
   for (const Finding& finding : checkpoint.stats.crash_findings) {
     serialize::SerializeFinding(os, finding);
@@ -278,47 +250,7 @@ int LoadCheckpoint(const std::string& path, CampaignCheckpoint* out, std::string
   for (uint64_t i = 0, n = reader.Count("coverage"); i < n && reader.ok(); ++i) {
     cp.coverage_keys.push_back(Unescape(reader.Line("k")));
   }
-  const std::vector<int64_t> vcache = reader.Fields("vcache", 2);
-  cp.stats.verdict_cache_hits = static_cast<uint64_t>(vcache[0]);
-  cp.stats.verdict_cache_misses = static_cast<uint64_t>(vcache[1]);
-  // Optional and ignored: the removed canonical verdict-cache level's
-  // counters, present in checkpoints written before its removal.
-  if (reader.PeekTag() == "ccache") {
-    reader.Fields("ccache", 2);
-  }
-  const std::vector<int64_t> dcache = reader.Fields("dcache", 3);
-  cp.stats.decode_cache_hits = static_cast<uint64_t>(dcache[0]);
-  cp.stats.decode_cache_misses = static_cast<uint64_t>(dcache[1]);
-  cp.stats.decode_cache_evictions = static_cast<uint64_t>(dcache[2]);
-  // Optional (checkpoints predating the JIT tier lack it).
-  if (reader.PeekTag() == "jcache") {
-    const std::vector<int64_t> jcache = reader.Fields("jcache", 3);
-    cp.stats.jit_cache_hits = static_cast<uint64_t>(jcache[0]);
-    cp.stats.jit_cache_misses = static_cast<uint64_t>(jcache[1]);
-    cp.stats.jit_cache_evictions = static_cast<uint64_t>(jcache[2]);
-  }
-  const std::vector<int64_t> mmorph = reader.Fields("mmorph", 5);
-  cp.stats.metamorph_bases = static_cast<uint64_t>(mmorph[0]);
-  cp.stats.metamorph_variants = static_cast<uint64_t>(mmorph[1]);
-  cp.stats.metamorph_verdict_divergences = static_cast<uint64_t>(mmorph[2]);
-  cp.stats.metamorph_witness_divergences = static_cast<uint64_t>(mmorph[3]);
-  cp.stats.metamorph_sanitizer_divergences = static_cast<uint64_t>(mmorph[4]);
-  const std::vector<int64_t> supv = reader.Fields("supv", 6);
-  cp.stats.worker_crashes = static_cast<uint64_t>(supv[0]);
-  cp.stats.worker_hangs = static_cast<uint64_t>(supv[1]);
-  cp.stats.worker_exits = static_cast<uint64_t>(supv[2]);
-  cp.stats.worker_restarts = static_cast<uint64_t>(supv[3]);
-  cp.stats.epochs_abandoned = static_cast<uint64_t>(supv[4]);
-  cp.stats.quarantined_cases = static_cast<uint64_t>(supv[5]);
-  // Optional (checkpoints predating the conformance subsystem lack it).
-  if (reader.PeekTag() == "conf") {
-    const std::vector<int64_t> conf = reader.Fields("conf", 5);
-    cp.stats.conf_cases = static_cast<uint64_t>(conf[0]);
-    cp.stats.conf_passed = static_cast<uint64_t>(conf[1]);
-    cp.stats.conf_mismatches = static_cast<uint64_t>(conf[2]);
-    cp.stats.conf_rejects = static_cast<uint64_t>(conf[3]);
-    cp.stats.conf_seeded = static_cast<uint64_t>(conf[4]);
-  }
+  serialize::ParseExcludedCounters(reader, &cp.stats);
   for (uint64_t i = 0, n = reader.Count("crashes"); i < n && reader.ok(); ++i) {
     Finding finding;
     serialize::ParseFinding(reader, &finding);

@@ -1,8 +1,12 @@
 #include "src/core/epoch.h"
 
 #include <algorithm>
+#include <sstream>
 
+#include "src/core/checkpoint.h"
+#include "src/core/serialize.h"
 #include "src/kernel/rng.h"
+#include "src/runtime/bpf_syscall.h"
 
 namespace bvf {
 
@@ -59,6 +63,82 @@ void RunEpochShard(const CampaignOptions& options, Generator& gen, CaseRunner& r
   out.partial.sanitizer = runner.sanitizer().stats().Since(sanitizer_at_start);
 }
 
+CacheBundle::CacheBundle(const CampaignOptions& options, Stores& stores) : stores_(stores) {
+  if (options.verdict_cache) {
+    verdict_.emplace(stores.verdict);
+  }
+  if (options.interp_engine != bpf::ExecEngine::kLegacy) {
+    decode_.emplace(stores.decode);
+  }
+  if (options.interp_engine == bpf::ExecEngine::kJit && bpf::JitAvailable()) {
+    jit_.emplace(stores.jit);
+  }
+}
+
+void CacheBundle::Install(bpf::Bpf& facade, Sanitizer* sanitizer) {
+  facade.set_verdict_cache(verdict_ ? &*verdict_ : nullptr, sanitizer);
+  facade.set_decode_cache(decode_ ? &*decode_ : nullptr);
+  facade.set_jit_cache(jit_ ? &*jit_ : nullptr);
+}
+
+void CacheBundle::set_iteration(uint64_t iteration) {
+  if (verdict_) {
+    verdict_->set_iteration(iteration);
+  }
+  if (decode_) {
+    decode_->set_iteration(iteration);
+  }
+  if (jit_) {
+    jit_->set_iteration(iteration);
+  }
+}
+
+void CacheBundle::Commit(const std::vector<CacheBundle*>& bundles) {
+  if (bundles.empty()) {
+    return;
+  }
+  std::vector<bpf::VerdictCacheShard*> verdict;
+  std::vector<bpf::DecodeCacheShard*> decode;
+  std::vector<bpf::JitCacheShard*> jit;
+  for (CacheBundle* bundle : bundles) {
+    if (bundle->verdict_) {
+      verdict.push_back(&*bundle->verdict_);
+    }
+    if (bundle->decode_) {
+      decode.push_back(&*bundle->decode_);
+    }
+    if (bundle->jit_) {
+      jit.push_back(&*bundle->jit_);
+    }
+  }
+  Stores& stores = bundles.front()->stores_;
+  stores.verdict.CommitShards(verdict);
+  stores.decode.CommitShards(decode);
+  stores.jit.CommitShards(jit);
+}
+
+void CacheBundle::Drain(CampaignStats& partial) {
+  if (verdict_) {
+    partial.verdict_cache_hits += verdict_->TakeHits();
+    partial.verdict_cache_misses += verdict_->TakeMisses();
+  }
+  if (decode_) {
+    partial.decode_cache_hits += decode_->TakeHits();
+    partial.decode_cache_misses += decode_->TakeMisses();
+    partial.decode_cache_evictions += decode_->TakeEvictions();
+  }
+  if (jit_) {
+    partial.jit_cache_hits += jit_->TakeHits();
+    partial.jit_cache_misses += jit_->TakeMisses();
+    partial.jit_cache_evictions += jit_->TakeEvictions();
+  }
+}
+
+namespace {
+
+// Sums the order-independent counters of |partial| into |into| (including the
+// per-epoch sanitizer delta and the cache counters) and clears |partial| for
+// the next epoch.
 void MergeEpochCounters(CampaignStats& into, CampaignStats& partial) {
   into.iterations += partial.iterations;
   into.accepted += partial.accepted;
@@ -86,10 +166,20 @@ void MergeEpochCounters(CampaignStats& into, CampaignStats& partial) {
   into.metamorph_verdict_divergences += partial.metamorph_verdict_divergences;
   into.metamorph_witness_divergences += partial.metamorph_witness_divergences;
   into.metamorph_sanitizer_divergences += partial.metamorph_sanitizer_divergences;
+  into.verdict_cache_hits += partial.verdict_cache_hits;
+  into.verdict_cache_misses += partial.verdict_cache_misses;
+  into.decode_cache_hits += partial.decode_cache_hits;
+  into.decode_cache_misses += partial.decode_cache_misses;
+  into.decode_cache_evictions += partial.decode_cache_evictions;
+  into.jit_cache_hits += partial.jit_cache_hits;
+  into.jit_cache_misses += partial.jit_cache_misses;
+  into.jit_cache_evictions += partial.jit_cache_evictions;
   into.sanitizer.Add(partial.sanitizer);
   partial = CampaignStats{};
 }
 
+// Folds case records (across all shards of one epoch) into the campaign in
+// iteration order: findings deduped by signature, corpus growth capped at 512.
 void MergeEpochRecords(std::vector<CaseRecord*> records, CampaignStats& stats,
                        std::vector<FuzzCase>& corpus) {
   std::sort(records.begin(), records.end(), [](const CaseRecord* a, const CaseRecord* b) {
@@ -107,6 +197,9 @@ void MergeEpochRecords(std::vector<CaseRecord*> records, CampaignStats& stats,
   }
 }
 
+// Epoch-quantized coverage-curve points: every sample point inside
+// (next_iteration .. epoch_end] reports |covered|, the committed count after
+// this epoch's merge.
 void AppendEpochCurve(CampaignStats& stats, uint64_t next_iteration, uint64_t epoch_end,
                       uint64_t sample_every, size_t covered) {
   if (sample_every == 0) {
@@ -116,6 +209,179 @@ void AppendEpochCurve(CampaignStats& stats, uint64_t next_iteration, uint64_t ep
        m <= epoch_end; m += sample_every) {
     stats.curve.push_back(CoveragePoint{m, covered});
   }
+}
+
+// Journals what one barrier merged: findings and corpus growth past the
+// given marks, then the barrier mark, then fsync.
+void JournalBarrier(Journal& journal, const CampaignStats& stats,
+                    const std::vector<FuzzCase>& corpus, size_t findings_before,
+                    size_t corpus_before, uint64_t epoch_end) {
+  for (size_t i = findings_before; i < stats.findings.size(); ++i) {
+    std::ostringstream payload;
+    serialize::SerializeFinding(payload, stats.findings[i]);
+    journal.Append(JournalRecord{JournalRecordType::kFinding, stats.findings[i].iteration,
+                                 payload.str()});
+  }
+  for (size_t i = corpus_before; i < corpus.size(); ++i) {
+    std::ostringstream payload;
+    serialize::SerializeCase(payload, corpus[i]);
+    journal.Append(JournalRecord{JournalRecordType::kCorpusCase, epoch_end, payload.str()});
+  }
+  journal.Append(JournalRecord{JournalRecordType::kMark, epoch_end + 1, ""});
+  journal.Sync();
+}
+
+}  // namespace
+
+CampaignStats RunEpochCampaign(const std::string& tool, const CampaignOptions& options,
+                               EpochTopology& topology) {
+  EpochCampaign campaign;
+  campaign.options = options;
+  campaign.options.epoch_len = std::max<uint64_t>(1, options.epoch_len);
+  const CampaignOptions& opts = campaign.options;
+  CampaignStats& stats = campaign.stats;
+  std::vector<FuzzCase>& corpus = campaign.corpus;
+  stats.tool = tool;
+  stats.options = opts;
+  const uint64_t epoch_len = opts.epoch_len;
+
+  uint64_t start_iteration = 1;
+  std::vector<std::string> coverage_keys;
+  if (!opts.resume_path.empty()) {
+    CampaignCheckpoint cp;
+    std::string error;
+    if (LoadCheckpoint(opts.resume_path, &cp, &error) != 0) {
+      stats.resume_error = error.empty() ? "checkpoint load failed" : error;
+      return stats;
+    }
+    // Field-wise validation (epoch_len, options hash) before any
+    // stats/corpus/coverage state is touched; a rejected resume reports which
+    // field mismatched and leaves the campaign untouched.
+    const std::string mismatch = ValidateCheckpointCompat(cp, opts, tool);
+    if (!mismatch.empty()) {
+      stats.resume_error = mismatch;
+      return stats;
+    }
+    stats = std::move(cp.stats);
+    stats.options = opts;
+    stats.tool = tool;
+    corpus = std::move(cp.corpus);
+    coverage_keys = std::move(cp.coverage_keys);
+    start_iteration = cp.next_iteration;
+    stats.resumed_from = start_iteration;
+  }
+  topology.RestoreCoverage(coverage_keys);
+
+  // Conformance prologue before epoch 0, coordinator-side so it runs exactly
+  // once for any job count; workers get its seeds through the corpus
+  // snapshot. Resumed campaigns skip it: its findings and corpus seeds are
+  // already inside the checkpoint.
+  if (opts.resume_path.empty() && !opts.conformance_dir.empty() &&
+      !RunConformancePrologue(opts, stats, &corpus)) {
+    return stats;
+  }
+
+  // Write-ahead journal: every barrier's newly merged findings and corpus
+  // growth are appended + fsynced before the epoch is considered done, so a
+  // kill between checkpoints cannot lose a recorded finding.
+  if (!opts.journal_path.empty()) {
+    std::string error;
+    if (campaign.journal.Open(opts.journal_path, &error) != 0) {
+      stats.resume_error = "journal open failed: " + error;
+      return stats;
+    }
+  }
+
+  const uint64_t sample_every =
+      opts.coverage_points > 0 ? std::max<uint64_t>(1, opts.iterations / opts.coverage_points)
+                               : 0;
+  // A simulated kill is quantized UP to the containing epoch's end: campaign
+  // state is only well-defined at barriers.
+  uint64_t last_iteration = opts.iterations;
+  if (opts.stop_after != 0 && opts.stop_after < last_iteration) {
+    last_iteration =
+        std::min(last_iteration, ((opts.stop_after - 1) / epoch_len + 1) * epoch_len);
+  }
+
+  const std::string fingerprint = FingerprintOptions(opts, tool);
+  const auto save_checkpoint = [&](uint64_t next_iteration) {
+    CampaignCheckpoint cp;
+    cp.next_iteration = next_iteration;
+    cp.fingerprint = fingerprint;
+    cp.epoch_len = epoch_len;
+    cp.corpus = corpus;
+    cp.stats = stats;
+    cp.stats.final_coverage = topology.CoverageCount();
+    cp.coverage_keys = topology.CoverageKeys();
+    if (SaveCheckpoint(opts.checkpoint_path, cp) == 0 && campaign.journal.is_open()) {
+      // The checkpoint covers everything the journal held; restart it empty.
+      campaign.journal.Rotate();
+    }
+  };
+
+  if (!topology.Start(campaign)) {
+    topology.Stop();
+    return stats;
+  }
+  bool finished = true;  // false: aborted or stopped early, no final checkpoint
+  std::vector<EpochShardResult*> results;
+  for (uint64_t next = start_iteration; next <= last_iteration;) {
+    const uint64_t end = std::min(last_iteration, ((next - 1) / epoch_len + 1) * epoch_len);
+    results.clear();
+    if (!topology.RunEpoch(next, end, results)) {
+      finished = false;
+      break;
+    }
+
+    // ---- Barrier merge (workers parked) ----
+    // Order-independent counters, then findings and corpus growth in
+    // iteration order across all shards, then the epoch-quantized curve:
+    // every sample point inside this epoch reports the committed count after
+    // the epoch's merge.
+    for (EpochShardResult* result : results) {
+      MergeEpochCounters(stats, result->partial);
+    }
+    const size_t findings_before = stats.findings.size();
+    const size_t corpus_before = corpus.size();
+    std::vector<CaseRecord*> records;
+    for (EpochShardResult* result : results) {
+      for (CaseRecord& record : result->records) {
+        records.push_back(&record);
+      }
+    }
+    MergeEpochRecords(std::move(records), stats, corpus);
+    for (EpochShardResult* result : results) {
+      result->records.clear();
+    }
+    AppendEpochCurve(stats, next, end, sample_every, topology.CoverageCount());
+
+    // Write-ahead order: journal what this barrier merged, fsync, and only
+    // then (possibly) checkpoint.
+    if (campaign.journal.is_open()) {
+      JournalBarrier(campaign.journal, stats, corpus, findings_before, corpus_before, end);
+    }
+    if (topology.StopRequested()) {
+      // Graceful stop: this barrier's state is complete and journaled;
+      // checkpoint it and return. Resume continues bit-identically.
+      if (!opts.checkpoint_path.empty()) {
+        save_checkpoint(end + 1);
+      }
+      finished = false;
+      break;
+    }
+    if (!opts.checkpoint_path.empty() && opts.checkpoint_every != 0 && end != last_iteration &&
+        end / opts.checkpoint_every > (next - 1) / opts.checkpoint_every) {
+      save_checkpoint(end + 1);
+    }
+    next = end + 1;
+  }
+  topology.Stop();
+
+  stats.final_coverage = topology.CoverageCount();
+  if (finished && !opts.checkpoint_path.empty()) {
+    save_checkpoint(last_iteration + 1);
+  }
+  return std::move(stats);
 }
 
 }  // namespace bvf

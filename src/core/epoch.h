@@ -1,13 +1,14 @@
-// Shared epoch-shard machinery (DESIGN.md §9, §12).
+// The epoch coordinator and its shard machinery (DESIGN.md §9, §12).
 //
-// Two campaign engines run the same sharded epoch discipline: ParallelFuzzer
-// (worker threads, src/core/parallel.cc) and SupervisedFuzzer (worker
-// processes, src/core/supervisor/). Bit-identical StatsDigests across the two
-// — and across job counts within each — depend on the shard loop and the
-// barrier merge being literally the same code, so both live here and the
-// engines only differ in transport (shared memory vs pipe frames).
+// Two campaign topologies run the same sharded epoch discipline:
+// ParallelFuzzer (worker threads, src/core/parallel.cc) and SupervisedFuzzer
+// (worker processes, src/core/supervisor/). Bit-identical StatsDigests across
+// the two, and across job counts within each, depend on the campaign loop,
+// the shard loop and the barrier merge being literally the same code, so all
+// of it lives here. A topology supplies only how one epoch's shards run and
+// where committed coverage lives (EpochTopology).
 //
-// Contract for one epoch, for any engine:
+// Contract for one epoch, for any topology:
 //  * every worker sees the same frozen epoch-start snapshots (committed
 //    coverage, corpus, finding signatures);
 //  * iteration i of an epoch starting at s runs on shard (i - s) % jobs with
@@ -19,12 +20,21 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "src/core/fuzzer.h"
+#include "src/core/journal/journal.h"
 #include "src/kernel/coverage.h"
+#include "src/runtime/decoded_prog.h"
+#include "src/runtime/jit_prog.h"
+#include "src/runtime/verdict_cache.h"
+
+namespace bpf {
+class Bpf;
+}  // namespace bpf
 
 namespace bvf {
 
@@ -51,9 +61,10 @@ struct CaseRecord {
 };
 
 struct EpochShardResult {
-  // Order-independent counters for this shard's slice of the epoch. The
-  // sanitizer field holds this epoch's *delta* (not a cumulative total), so
-  // the merge is a plain Add and survives a worker process being re-forked.
+  // Order-independent counters for this shard's slice of the epoch, cache
+  // counters included once its caches are committed. The sanitizer field
+  // holds this epoch's *delta* (not a cumulative total), so the merge is a
+  // plain Add and survives a worker process being re-forked.
   CampaignStats partial;
   std::vector<CaseRecord> records;  // iteration-ascending (the shard strides up)
 };
@@ -82,23 +93,86 @@ void RunEpochShard(const CampaignOptions& options, Generator& gen, CaseRunner& r
                    uint64_t start, uint64_t end, EpochShardResult& out,
                    const EpochShardHooks& hooks = {});
 
-// Sums the order-independent counter fields of |partial| into |into|
-// (including the per-epoch sanitizer delta) and clears |partial| for the next
-// epoch. Findings/corpus/curve/coverage merge separately, in iteration order.
-void MergeEpochCounters(CampaignStats& into, CampaignStats& partial);
+// One worker's digest caches: verdict, decode and JIT shards over a set of
+// committed stores. Which caches exist follows from the options alone.
+// Lookups see only committed entries; inserts wait, tagged with their
+// iteration, until Commit merges them in iteration order.
+class CacheBundle {
+ public:
+  // The committed stores of one commit domain: the worker threads of an
+  // in-process campaign share one; each supervised worker process owns one.
+  struct Stores {
+    bpf::VerdictCache verdict;
+    bpf::DecodeCache decode;
+    bpf::JitCache jit;
+  };
 
-// Barrier step: folds case records (across all shards of one epoch) into the
-// campaign in iteration order — findings deduped by signature, corpus growth
-// capped at 512. Sorts |records| internally; pointers must stay valid for the
-// call only.
-void MergeEpochRecords(std::vector<CaseRecord*> records, CampaignStats& stats,
-                       std::vector<FuzzCase>& corpus);
+  CacheBundle(const CampaignOptions& options, Stores& stores);
 
-// Barrier step: epoch-quantized coverage-curve points. Every sample point
-// inside (next_iteration .. epoch_end] reports |covered|, the committed count
-// after this epoch's merge.
-void AppendEpochCurve(CampaignStats& stats, uint64_t next_iteration, uint64_t epoch_end,
-                      uint64_t sample_every, size_t covered);
+  // Points a campaign substrate's bpf(2) facade at this bundle's shards.
+  void Install(bpf::Bpf& facade, Sanitizer* sanitizer);
+  // Tags the inserts of the case about to run.
+  void set_iteration(uint64_t iteration);
+
+  // Commits the pending inserts of |bundles|, all over one Stores, in
+  // iteration order. Call while none of them is running a case.
+  static void Commit(const std::vector<CacheBundle*>& bundles);
+  // Moves this bundle's hit, miss and eviction counts into |partial|.
+  void Drain(CampaignStats& partial);
+
+ private:
+  Stores& stores_;
+  std::optional<bpf::VerdictCacheShard> verdict_;
+  std::optional<bpf::DecodeCacheShard> decode_;
+  std::optional<bpf::JitCacheShard> jit_;
+};
+
+// Campaign state the coordinator owns. Topologies read it to set up each
+// epoch; the supervised one also files its process accounting and crash
+// records in |stats| and |journal|.
+struct EpochCampaign {
+  CampaignOptions options;
+  CampaignStats stats;
+  std::vector<FuzzCase> corpus;
+  Journal journal;
+};
+
+// What a campaign topology supplies to RunEpochCampaign.
+class EpochTopology {
+ public:
+  EpochTopology() = default;
+  EpochTopology(const EpochTopology&) = delete;
+  EpochTopology& operator=(const EpochTopology&) = delete;
+  virtual ~EpochTopology() = default;
+
+  // Replaces the committed coverage with |keys| (empty for a fresh campaign).
+  virtual void RestoreCoverage(const std::vector<std::string>& keys) = 0;
+  // The committed coverage: its size, and its stable keys for checkpoints.
+  virtual size_t CoverageCount() const = 0;
+  virtual std::vector<std::string> CoverageKeys() const = 0;
+
+  // Brings the workers up before the first epoch; |campaign| outlives Stop.
+  // False ends the campaign with stats.resume_error saying why.
+  virtual bool Start(EpochCampaign& campaign) = 0;
+  // Runs iterations [start, end] on every shard against the campaign's
+  // epoch-start state, and commits the shards' coverage. Fills |results|
+  // with one EpochShardResult per shard, valid until the next call. False
+  // aborts the campaign with stats.resume_error saying why.
+  virtual bool RunEpoch(uint64_t start, uint64_t end,
+                        std::vector<EpochShardResult*>& results) = 0;
+  // Asked after each barrier is journaled: true checkpoints that barrier and
+  // ends the campaign there.
+  virtual bool StopRequested() const { return false; }
+  // Stops the workers. Also called after a failed Start; a second call does
+  // nothing.
+  virtual void Stop() = 0;
+};
+
+// The campaign loop of both topologies: resume and its validation, the
+// conformance prologue, the journal, stop_after quantization, the epochs and
+// their barrier merge, the journal append, and the checkpoint cadence.
+CampaignStats RunEpochCampaign(const std::string& tool, const CampaignOptions& options,
+                               EpochTopology& topology);
 
 }  // namespace bvf
 

@@ -9,13 +9,13 @@
 #include "src/analysis/state_audit.h"
 #include "src/conformance/corpus.h"
 #include "src/conformance/runner.h"
+#include "src/core/epoch.h"
 #include "src/core/metamorph/metamorph.h"
 #include "src/core/metamorph/transform.h"
 #include "src/core/metamorph/witness.h"
 #include "src/kernel/coverage.h"
 #include "src/runtime/bpf_syscall.h"
 #include "src/runtime/decoded_prog.h"
-#include "src/runtime/verdict_cache.h"
 #include "src/sanitizer/asan_funcs.h"
 
 namespace bvf {
@@ -130,27 +130,6 @@ CaseRunner::CaseRunner(const CampaignOptions& options) : options_(options) {
 
 CaseRunner::~CaseRunner() = default;
 
-void CaseRunner::set_verdict_shard(bpf::VerdictCacheShard* shard) {
-  verdict_shard_ = shard;
-  if (substrate_) {
-    substrate_->bpf.set_verdict_cache(verdict_shard_, &sanitizer_);
-  }
-}
-
-void CaseRunner::set_decode_shard(bpf::DecodeCacheShard* shard) {
-  decode_shard_ = shard;
-  if (substrate_) {
-    substrate_->bpf.set_decode_cache(decode_shard_);
-  }
-}
-
-void CaseRunner::set_jit_shard(bpf::JitCacheShard* shard) {
-  jit_shard_ = shard;
-  if (substrate_) {
-    substrate_->bpf.set_jit_cache(jit_shard_);
-  }
-}
-
 void CaseRunner::Teardown() { substrate_.reset(); }
 
 CaseRunner::Substrate& CaseRunner::EnsureSubstrate() {
@@ -183,16 +162,8 @@ void CaseRunner::ConfigureSubstrate(Substrate& sub, Sanitizer* sanitizer, bool c
   sub.kernel.arena().set_alloc_budget(options_.arena_budget);
   sub.kernel.arena().set_dirty_reset(options_.dirty_reset);
   sub.bpf.set_exec_limits(options_.limits);
-  if (campaign && verdict_shard_ != nullptr) {
-    // Confirmation substrates stay uncached: a confirmation run must exercise
-    // the real verifier, and its stats are thrown away anyway.
-    sub.bpf.set_verdict_cache(verdict_shard_, &sanitizer_);
-  }
-  if (campaign && decode_shard_ != nullptr) {
-    sub.bpf.set_decode_cache(decode_shard_);
-  }
-  if (campaign && jit_shard_ != nullptr) {
-    sub.bpf.set_jit_cache(jit_shard_);
+  if (campaign && caches_ != nullptr) {
+    caches_->Install(sub.bpf, &sanitizer_);
   }
 }
 
@@ -406,14 +377,8 @@ CaseRunner::CaseResult CaseRunner::RunOne(const FuzzCase& the_case, uint64_t ite
         options_.fault, bpf::FaultSeed(options_.seed, iteration));
     sub.kernel.set_fault_injector(injector.get());
   }
-  if (verdict_shard_ != nullptr) {
-    verdict_shard_->set_iteration(iteration);
-  }
-  if (decode_shard_ != nullptr) {
-    decode_shard_->set_iteration(iteration);
-  }
-  if (jit_shard_ != nullptr) {
-    jit_shard_->set_iteration(iteration);
+  if (caches_ != nullptr) {
+    caches_->set_iteration(iteration);
   }
 
   const DriveResult drive = DriveCase(sub, the_case, iteration);

@@ -30,12 +30,9 @@
 #include "src/verifier/bug_registry.h"
 #include "src/verifier/kernel_version.h"
 
-namespace bpf {
-class VerdictCacheShard;
-}  // namespace bpf
-
 namespace bvf {
 
+class CacheBundle;
 class MetamorphOracle;
 
 struct CampaignOptions {
@@ -47,7 +44,6 @@ struct CampaignOptions {
   uint64_t seed = 1;
   bool coverage_feedback = true;      // corpus-guided generation
   int coverage_points = 48;           // curve samples ("hours" in Fig. 6)
-  bool reset_coverage = true;         // reset the global hit set at start
   size_t arena_size = 512 * 1024;
 
   // -- Robustness engine (DESIGN.md §8) --
@@ -366,18 +362,11 @@ class CaseRunner {
                       const bpf::FaultLog& fault_log);
 
   Sanitizer& sanitizer() { return sanitizer_; }
-  // Binds a verdict-cache shard to this runner's campaign substrate (not to
-  // confirmation substrates: confirmation must exercise the real verifier).
-  void set_verdict_shard(bpf::VerdictCacheShard* shard);
-  // Binds a decode-cache shard to this runner's campaign substrate (only
-  // consulted while options.interp_engine is not kLegacy). Confirmation
-  // substrates decode fresh: their loads are throwaway and must not move the
-  // campaign's cache counters.
-  void set_decode_shard(bpf::DecodeCacheShard* shard);
-  // Binds a JIT code-cache shard to this runner's campaign substrate (only
-  // consulted while options.interp_engine is kJit and the JIT is available).
-  // Same confirmation-substrate exclusion as the decode cache.
-  void set_jit_shard(bpf::JitCacheShard* shard);
+  // Binds a worker's digest caches (src/core/epoch.h) to this runner's
+  // campaign substrate; call before the first case. Confirmation substrates
+  // stay uncached: confirmation must exercise the real verifier, and its
+  // throwaway loads must not move the campaign's cache counters.
+  void set_caches(CacheBundle* caches) { caches_ = caches; }
 
   // Drops the substrate (end of campaign).
   void Teardown();
@@ -405,9 +394,7 @@ class CaseRunner {
 
   const CampaignOptions& options_;
   Sanitizer sanitizer_;
-  bpf::VerdictCacheShard* verdict_shard_ = nullptr;
-  bpf::DecodeCacheShard* decode_shard_ = nullptr;
-  bpf::JitCacheShard* jit_shard_ = nullptr;
+  CacheBundle* caches_ = nullptr;
   std::unique_ptr<Substrate> substrate_;
   std::unique_ptr<MetamorphOracle> metamorph_;  // non-null iff options.metamorph
 };

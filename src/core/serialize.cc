@@ -1,6 +1,7 @@
 #include "src/core/serialize.h"
 
 #include <cstdio>
+#include <initializer_list>
 #include <sstream>
 
 namespace bvf {
@@ -229,6 +230,69 @@ void ParseStats(Reader& reader, CampaignStats* stats) {
       stats->finding_signatures.insert(finding.signature);
       stats->findings.push_back(std::move(finding));
     }
+  }
+}
+
+namespace {
+
+// Reads one tagged line of counters into |fields|, in order.
+void ReadCounters(Reader& reader, const std::string& tag,
+                  std::initializer_list<uint64_t*> fields) {
+  const std::vector<int64_t> values = reader.Fields(tag, fields.size());
+  size_t i = 0;
+  for (uint64_t* field : fields) {
+    *field = static_cast<uint64_t>(values[i++]);
+  }
+}
+
+}  // namespace
+
+void SerializeExcludedCounters(std::ostream& os, const CampaignStats& stats) {
+  os << "vcache " << stats.verdict_cache_hits << " " << stats.verdict_cache_misses << "\n";
+  os << "dcache " << stats.decode_cache_hits << " " << stats.decode_cache_misses << " "
+     << stats.decode_cache_evictions << "\n";
+  os << "jcache " << stats.jit_cache_hits << " " << stats.jit_cache_misses << " "
+     << stats.jit_cache_evictions << "\n";
+  os << "mmorph " << stats.metamorph_bases << " " << stats.metamorph_variants << " "
+     << stats.metamorph_verdict_divergences << " " << stats.metamorph_witness_divergences
+     << " " << stats.metamorph_sanitizer_divergences << "\n";
+  os << "supv " << stats.worker_crashes << " " << stats.worker_hangs << " "
+     << stats.worker_exits << " " << stats.worker_restarts << " " << stats.epochs_abandoned
+     << " " << stats.quarantined_cases << "\n";
+  os << "conf " << stats.conf_cases << " " << stats.conf_passed << " "
+     << stats.conf_mismatches << " " << stats.conf_rejects << " " << stats.conf_seeded
+     << "\n";
+}
+
+void ParseExcludedCounters(Reader& reader, CampaignStats* stats) {
+  ReadCounters(reader, "vcache", {&stats->verdict_cache_hits, &stats->verdict_cache_misses});
+  // Optional and ignored: the removed canonical verdict-cache level's
+  // counters, present in checkpoints written before its removal.
+  if (reader.PeekTag() == "ccache") {
+    reader.Fields("ccache", 2);
+  }
+  ReadCounters(reader, "dcache",
+               {&stats->decode_cache_hits, &stats->decode_cache_misses,
+                &stats->decode_cache_evictions});
+  // Optional (checkpoints predating the JIT tier lack it).
+  if (reader.PeekTag() == "jcache") {
+    ReadCounters(reader, "jcache",
+                 {&stats->jit_cache_hits, &stats->jit_cache_misses,
+                  &stats->jit_cache_evictions});
+  }
+  ReadCounters(reader, "mmorph",
+               {&stats->metamorph_bases, &stats->metamorph_variants,
+                &stats->metamorph_verdict_divergences, &stats->metamorph_witness_divergences,
+                &stats->metamorph_sanitizer_divergences});
+  ReadCounters(reader, "supv",
+               {&stats->worker_crashes, &stats->worker_hangs, &stats->worker_exits,
+                &stats->worker_restarts, &stats->epochs_abandoned,
+                &stats->quarantined_cases});
+  // Optional (checkpoints predating the conformance subsystem lack it).
+  if (reader.PeekTag() == "conf") {
+    ReadCounters(reader, "conf",
+                 {&stats->conf_cases, &stats->conf_passed, &stats->conf_mismatches,
+                  &stats->conf_rejects, &stats->conf_seeded});
   }
 }
 

@@ -72,6 +72,15 @@ class Reader {
 void SerializeStats(std::ostream& os, const CampaignStats& stats);
 void ParseStats(Reader& reader, CampaignStats* stats);
 
+// The digest-excluded counters, one tagged line per group: vcache, dcache,
+// jcache (cache hits/misses/evictions), mmorph (metamorph volume), supv
+// (supervisor accounting), conf (conformance prologue). Checkpoint files and
+// the supervisor's epoch-result frames both carry them this way. The parser
+// also accepts older checkpoints: a ccache line (skipped) and missing jcache
+// or conf lines.
+void SerializeExcludedCounters(std::ostream& os, const CampaignStats& stats);
+void ParseExcludedCounters(Reader& reader, CampaignStats* stats);
+
 // One fuzz case ("case" header + i/m/ev lines).
 void SerializeCase(std::ostream& os, const FuzzCase& fc);
 void ParseCase(Reader& reader, FuzzCase* fc);

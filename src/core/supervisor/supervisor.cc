@@ -3,8 +3,9 @@
 // The coordinator owns all campaign state (stats, corpus, committed coverage
 // keys, finding signatures) and never executes a fuzz case itself; workers are
 // fork()ed, stream heartbeats + results back over pipes, and are re-forked
-// when they die. The epoch barrier merge is the shared src/core/epoch.cc code,
-// run here over parsed frames instead of in-memory shard results — which is
+// when they die. This file is the process topology of the shared epoch
+// coordinator (src/core/epoch.cc): the campaign loop and the barrier merge
+// run there, over parsed frames instead of in-memory shard results — which is
 // the whole digest-identity argument.
 
 #include "src/core/supervisor/supervisor.h"
@@ -28,7 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "src/core/checkpoint.h"
 #include "src/core/epoch.h"
 #include "src/core/journal/journal.h"
 #include "src/core/serialize.h"
@@ -71,9 +71,6 @@ struct WorkerProc {
   bool result_done = false;
   EpochShardResult out;
   std::vector<std::string> result_keys;
-  uint64_t vcache_hits = 0, vcache_misses = 0;
-  uint64_t dcache_hits = 0, dcache_misses = 0, dcache_evictions = 0;
-  uint64_t jcache_hits = 0, jcache_misses = 0, jcache_evictions = 0;
   // Failure forensics.
   int consecutive_failures = 0;
   bool inflight_valid = false;
@@ -112,6 +109,7 @@ bool ParseResultPayload(const std::string& payload, WorkerProc* w) {
   serialize::Reader reader(is);
   reader.Fields("result", 2);
   serialize::ParseStats(reader, &w->out.partial);
+  serialize::ParseExcludedCounters(reader, &w->out.partial);
   const uint64_t nrecords = reader.Count("records");
   for (uint64_t i = 0; i < nrecords && reader.ok(); ++i) {
     const std::vector<int64_t> fields = reader.Fields("r", 3);
@@ -131,17 +129,6 @@ bool ParseResultPayload(const std::string& payload, WorkerProc* w) {
   for (uint64_t i = 0, n = reader.Count("covkeys"); i < n && reader.ok(); ++i) {
     w->result_keys.push_back(serialize::Unescape(reader.Line("k")));
   }
-  const std::vector<int64_t> vc = reader.Fields("vcache", 2);
-  w->vcache_hits = static_cast<uint64_t>(vc[0]);
-  w->vcache_misses = static_cast<uint64_t>(vc[1]);
-  const std::vector<int64_t> dc = reader.Fields("dcache", 3);
-  w->dcache_hits = static_cast<uint64_t>(dc[0]);
-  w->dcache_misses = static_cast<uint64_t>(dc[1]);
-  w->dcache_evictions = static_cast<uint64_t>(dc[2]);
-  const std::vector<int64_t> jc = reader.Fields("jcache", 3);
-  w->jcache_hits = static_cast<uint64_t>(jc[0]);
-  w->jcache_misses = static_cast<uint64_t>(jc[1]);
-  w->jcache_evictions = static_cast<uint64_t>(jc[2]);
   reader.Line("end");
   return reader.ok();
 }
@@ -182,6 +169,508 @@ int AppendQuarantineRecord(const std::string& path, const QuarantineRecord& reco
   return 0;
 }
 
+// Worker processes, one per shard, and the coordinator's committed coverage
+// key set with per-worker send marks. The coordinator never executes
+// instrumented code, so this key set — not the global registry — is the
+// campaign's committed coverage; workers rebuild their local registries from
+// these keys on every (re)fork.
+class ProcessTopology : public EpochTopology {
+ public:
+  explicit ProcessTopology(Generator& generator) : generator_(generator) {}
+  ~ProcessTopology() override { Stop(); }
+
+  void RestoreCoverage(const std::vector<std::string>& keys) override {
+    cov_set_.clear();
+    cov_vec_.clear();
+    for (const std::string& key : keys) {
+      AddCoverageKey(key);
+    }
+  }
+  size_t CoverageCount() const override { return cov_set_.size(); }
+  std::vector<std::string> CoverageKeys() const override { return cov_vec_; }
+
+  bool Start(EpochCampaign& campaign) override {
+    campaign_ = &campaign;
+    const CampaignOptions& options = campaign.options;
+    jobs_ = std::max(1, options.jobs);
+    worker_retries_ = std::max(1, options.worker_retries);
+    // Runs after the conformance prologue, so workers dedup against its
+    // findings too.
+    sigs_vec_.assign(campaign.stats.finding_signatures.begin(),
+                     campaign.stats.finding_signatures.end());
+    findings_seen_ = campaign.stats.findings.size();
+
+    // Signal plumbing: SIGTERM/SIGINT request a graceful stop at the next
+    // barrier; SIGPIPE (a worker dying mid-frame) must not kill the
+    // coordinator — the write error is handled as a worker failure.
+    struct sigaction stop_action;
+    std::memset(&stop_action, 0, sizeof(stop_action));
+    stop_action.sa_handler = HandleStopSignal;
+    struct sigaction ignore_pipe;
+    std::memset(&ignore_pipe, 0, sizeof(ignore_pipe));
+    ignore_pipe.sa_handler = SIG_IGN;
+    ::sigaction(SIGTERM, &stop_action, &old_term_);
+    ::sigaction(SIGINT, &stop_action, &old_int_);
+    ::sigaction(SIGPIPE, &ignore_pipe, &old_pipe_);
+    signals_installed_ = true;
+    g_stop_requested = 0;
+
+    workers_.resize(static_cast<size_t>(jobs_));
+    for (WorkerProc& w : workers_) {
+      const int rc = SpawnWorker(w);
+      if (rc != 0) {
+        campaign.stats.resume_error =
+            std::string("supervisor: cannot spawn worker: ") + std::strerror(-rc);
+        return false;
+      }
+    }
+    return true;
+  }
+
+  bool RunEpoch(uint64_t start, uint64_t end, std::vector<EpochShardResult*>& results) override {
+    const CampaignStats& stats = campaign_->stats;
+    for (; findings_seen_ < stats.findings.size(); ++findings_seen_) {
+      sigs_vec_.push_back(stats.findings[findings_seen_].signature);
+    }
+    EpochAttempt epoch{start, end, {}, false};
+    for (WorkerProc& w : workers_) {
+      w.result_done = false;
+      w.out = EpochShardResult{};
+      w.result_keys.clear();
+      w.inflight_valid = false;
+    }
+    for (int i = 0; i < jobs_; ++i) {
+      // A dead pipe at send time is a worker failure; the collect loop below
+      // notices the closed result pipe and runs the retry path.
+      SendEpoch(workers_[static_cast<size_t>(i)], i, epoch);
+    }
+    if (!Collect(epoch)) {
+      return false;
+    }
+    for (WorkerProc& w : workers_) {
+      for (const std::string& key : w.result_keys) {
+        AddCoverageKey(key);
+      }
+      w.result_keys.clear();
+      results.push_back(&w.out);
+    }
+    return true;
+  }
+
+  bool StopRequested() const override { return g_stop_requested != 0; }
+
+  void Stop() override {
+    ShutdownWorkers();
+    if (signals_installed_) {
+      ::sigaction(SIGTERM, &old_term_, nullptr);
+      ::sigaction(SIGINT, &old_int_, nullptr);
+      ::sigaction(SIGPIPE, &old_pipe_, nullptr);
+      signals_installed_ = false;
+    }
+  }
+
+ private:
+  // One epoch's range plus the poison iterations quarantined during it; the
+  // re-run shard skips them. Persisting across retries of the epoch is what
+  // guarantees progress: every quarantine strictly shrinks the work left to
+  // fail.
+  struct EpochAttempt {
+    uint64_t start;
+    uint64_t end;
+    std::set<uint64_t> skip;
+    bool abandoned_counted;
+  };
+
+  void AddCoverageKey(const std::string& key) {
+    if (cov_set_.insert(key).second) {
+      cov_vec_.push_back(key);
+    }
+  }
+
+  int SpawnWorker(WorkerProc& w) {
+    int cmd[2] = {-1, -1};
+    int res[2] = {-1, -1};
+    if (::pipe(cmd) != 0) {
+      return -errno;
+    }
+    if (::pipe(res) != 0) {
+      const int err = -errno;
+      ::close(cmd[0]);
+      ::close(cmd[1]);
+      return err;
+    }
+    char stderr_tmpl[] = "/tmp/bvf-worker-stderr-XXXXXX";
+    const int stderr_fd = ::mkstemp(stderr_tmpl);
+    std::fflush(nullptr);
+    const pid_t pid = ::fork();
+    if (pid < 0) {
+      const int err = -errno;
+      ::close(cmd[0]);
+      ::close(cmd[1]);
+      ::close(res[0]);
+      ::close(res[1]);
+      if (stderr_fd >= 0) {
+        ::close(stderr_fd);
+        ::unlink(stderr_tmpl);
+      }
+      return err;
+    }
+    if (pid == 0) {
+      // Worker process. Drop every coordinator-owned fd (including the other
+      // workers' pipe ends inherited through fork), capture stderr, reset
+      // signal dispositions, and die with the coordinator.
+      ::close(cmd[1]);
+      ::close(res[0]);
+      for (const WorkerProc& other : workers_) {
+        if (other.cmd_fd >= 0) {
+          ::close(other.cmd_fd);
+        }
+        if (other.res_fd >= 0) {
+          ::close(other.res_fd);
+        }
+      }
+      if (stderr_fd >= 0) {
+        ::dup2(stderr_fd, 2);
+        ::close(stderr_fd);
+      }
+      ::signal(SIGTERM, SIG_DFL);
+      ::signal(SIGINT, SIG_DFL);
+      ::signal(SIGPIPE, SIG_DFL);
+#ifdef PR_SET_PDEATHSIG
+      ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+#endif
+      ::_exit(RunWorkerProcess(generator_, campaign_->options, cmd[0], res[1]));
+    }
+    ::close(cmd[0]);
+    ::close(res[1]);
+    if (stderr_fd >= 0) {
+      ::close(stderr_fd);
+    }
+    w.pid = pid;
+    w.cmd_fd = cmd[1];
+    w.res_fd = res[0];
+    w.stderr_path = stderr_tmpl;
+    w.sent_corpus = 0;
+    w.sent_sigs = 0;
+    w.sent_keys = 0;
+    w.inflight_valid = false;
+    w.last_heard_ms = NowMs();
+    return 0;
+  }
+
+  // Returns the death signal (>0) or negated exit code (<=0).
+  int ReapWorker(WorkerProc& w, bool hang) {
+    CampaignStats& stats = campaign_->stats;
+    CloseFd(w.cmd_fd);
+    CloseFd(w.res_fd);
+    if (hang && w.pid > 0) {
+      ::kill(w.pid, SIGKILL);
+    }
+    int status = 0;
+    if (w.pid > 0) {
+      while (::waitpid(w.pid, &status, 0) < 0 && errno == EINTR) {
+      }
+    }
+    w.pid = -1;
+    if (hang) {
+      ++stats.worker_hangs;
+      return SIGKILL;
+    }
+    if (WIFSIGNALED(status)) {
+      ++stats.worker_crashes;
+      return WTERMSIG(status);
+    }
+    ++stats.worker_exits;
+    return -(WIFEXITED(status) ? WEXITSTATUS(status) : 0);
+  }
+
+  int SendEpoch(WorkerProc& w, int index, const EpochAttempt& epoch) {
+    const std::vector<FuzzCase>& corpus = campaign_->corpus;
+    // Forensic heartbeats (full case payloads) only on the attempt whose
+    // failure would exhaust the retry budget and quarantine the in-flight
+    // case; every other attempt heartbeats with just the iteration number.
+    const bool forensic = w.consecutive_failures + 1 >= worker_retries_;
+    std::ostringstream os;
+    os << "epoch " << epoch.start << " " << epoch.end << " " << index << " " << jobs_ << "\n";
+    os << "forensic " << (forensic ? 1 : 0) << "\n";
+    os << "skip " << epoch.skip.size() << "\n";
+    for (uint64_t it : epoch.skip) {
+      os << "s " << it << "\n";
+    }
+    os << "sigs " << (sigs_vec_.size() - w.sent_sigs) << "\n";
+    for (size_t i = w.sent_sigs; i < sigs_vec_.size(); ++i) {
+      os << "g " << serialize::Escape(sigs_vec_[i]) << "\n";
+    }
+    os << "covkeys " << (cov_vec_.size() - w.sent_keys) << "\n";
+    for (size_t i = w.sent_keys; i < cov_vec_.size(); ++i) {
+      os << "k " << serialize::Escape(cov_vec_[i]) << "\n";
+    }
+    os << "corpus " << (corpus.size() - w.sent_corpus) << "\n";
+    for (size_t i = w.sent_corpus; i < corpus.size(); ++i) {
+      serialize::SerializeCase(os, corpus[i]);
+    }
+    os << "end\n";
+    const int rc = WriteFrame(w.cmd_fd, MsgType::kEpoch, os.str());
+    if (rc == 0) {
+      w.sent_sigs = sigs_vec_.size();
+      w.sent_keys = cov_vec_.size();
+      w.sent_corpus = corpus.size();
+      w.last_heard_ms = NowMs();
+    }
+    return rc;
+  }
+
+  void ShutdownWorkers() {
+    for (WorkerProc& w : workers_) {
+      if (w.cmd_fd >= 0) {
+        WriteFrame(w.cmd_fd, MsgType::kShutdown, "");
+      }
+      CloseFd(w.cmd_fd);
+    }
+    const int64_t deadline = NowMs() + 2000;
+    for (WorkerProc& w : workers_) {
+      if (w.pid <= 0) {
+        continue;
+      }
+      for (;;) {
+        int status = 0;
+        const pid_t r = ::waitpid(w.pid, &status, WNOHANG);
+        if (r == w.pid || (r < 0 && errno != EINTR)) {
+          break;
+        }
+        if (NowMs() >= deadline) {
+          ::kill(w.pid, SIGKILL);
+          while (::waitpid(w.pid, &status, 0) < 0 && errno == EINTR) {
+          }
+          break;
+        }
+        ::usleep(10'000);
+      }
+      w.pid = -1;
+      CloseFd(w.res_fd);
+      if (!w.stderr_path.empty()) {
+        ::unlink(w.stderr_path.c_str());
+        w.stderr_path.clear();
+      }
+    }
+  }
+
+  // Waits for every shard's RESULT, reaping and re-forking failed workers
+  // along the way. False aborts the campaign.
+  bool Collect(EpochAttempt& epoch) {
+    int pending = jobs_;
+    while (pending > 0) {
+      std::vector<struct pollfd> pfds;
+      std::vector<int> pfd_worker;
+      int64_t poll_deadline = -1;
+      for (int i = 0; i < jobs_; ++i) {
+        WorkerProc& w = workers_[static_cast<size_t>(i)];
+        if (w.result_done) {
+          continue;
+        }
+        struct pollfd pfd;
+        pfd.fd = w.res_fd;
+        pfd.events = POLLIN;
+        pfd.revents = 0;
+        pfds.push_back(pfd);
+        pfd_worker.push_back(i);
+        if (hang_timeout_ms() > 0) {
+          const int64_t deadline = w.last_heard_ms + hang_timeout_ms();
+          if (poll_deadline < 0 || deadline < poll_deadline) {
+            poll_deadline = deadline;
+          }
+        }
+      }
+      int timeout = -1;
+      if (poll_deadline >= 0) {
+        timeout = static_cast<int>(std::max<int64_t>(0, poll_deadline - NowMs()));
+      }
+      const int pr = ::poll(pfds.data(), pfds.size(), timeout);
+      if (pr < 0 && errno != EINTR) {
+        campaign_->stats.resume_error =
+            std::string("supervisor: poll failed: ") + std::strerror(errno);
+        return false;
+      }
+
+      const int64_t now = NowMs();
+      for (size_t p = 0; p < pfds.size(); ++p) {
+        const int index = pfd_worker[p];
+        WorkerProc& w = workers_[static_cast<size_t>(index)];
+        if (w.result_done) {
+          continue;  // can happen if an earlier entry's failure re-sorted state
+        }
+        bool failed = false;
+        bool hang = false;
+        if ((pfds[p].revents & POLLIN) != 0) {
+          Frame frame;
+          const int rc =
+              ReadFrame(w.res_fd, &frame, hang_timeout_ms() > 0 ? hang_timeout_ms() : -1);
+          if (rc != 0) {
+            // EOF, torn frame, or a stall mid-frame: all worker failures.
+            failed = true;
+            hang = rc == -ETIMEDOUT;
+          } else {
+            w.last_heard_ms = NowMs();
+            if (frame.type == MsgType::kCaseBegin) {
+              std::istringstream is(frame.payload);
+              serialize::Reader reader(is);
+              const std::vector<int64_t> fields = reader.Fields("case_begin", 2);
+              FuzzCase fc;
+              if (reader.ok() && fields[1] != 0) {
+                serialize::ParseCase(reader, &fc);  // forensic heartbeat
+              }
+              if (reader.ok()) {
+                w.inflight_valid = true;
+                w.inflight_iteration = static_cast<uint64_t>(fields[0]);
+                w.inflight_case = std::move(fc);
+              }
+            } else if (frame.type == MsgType::kResult &&
+                       ParseResultPayload(frame.payload, &w)) {
+              w.result_done = true;
+              w.inflight_valid = false;
+              w.consecutive_failures = 0;
+              --pending;
+            } else {
+              failed = true;
+            }
+          }
+        } else if ((pfds[p].revents & (POLLHUP | POLLERR | POLLNVAL)) != 0) {
+          failed = true;
+        } else if (hang_timeout_ms() > 0 && now - w.last_heard_ms >= hang_timeout_ms()) {
+          failed = true;
+          hang = true;
+        }
+        if (failed && !HandleFailure(index, hang, epoch)) {
+          return false;
+        }
+      }
+    }
+    return true;
+  }
+
+  // Failure handling for one worker: reap, record, maybe quarantine, back
+  // off, re-fork, resend the epoch. False aborts the campaign.
+  bool HandleFailure(int index, bool hang, EpochAttempt& epoch) {
+    const CampaignOptions& options = campaign_->options;
+    CampaignStats& stats = campaign_->stats;
+    Journal& journal = campaign_->journal;
+    WorkerProc& w = workers_[static_cast<size_t>(index)];
+    const int sig_or_code = ReapWorker(w, hang);
+    ++w.consecutive_failures;
+    w.out = EpochShardResult{};  // a torn result frame may have half-filled it
+    w.result_keys.clear();
+
+    // First-class crash finding with the captured stderr (digest-excluded).
+    Finding crash;
+    crash.kind = bpf::ReportKind::kWorkerCrash;
+    crash.indicator = 0;
+    crash.iteration = w.inflight_valid ? w.inflight_iteration : 0;
+    std::ostringstream sig;
+    sig << "worker-crash:shard" << index << ":"
+        << (hang ? "hang" : (sig_or_code > 0 ? "signal" : "exit")) << ":"
+        << (sig_or_code > 0 ? sig_or_code : -sig_or_code);
+    crash.signature = sig.str();
+    std::ostringstream details;
+    details << "worker for shard " << index << " ";
+    if (hang) {
+      details << "missed the heartbeat deadline (" << options.hang_timeout_ms
+              << " ms) and was killed";
+    } else if (sig_or_code > 0) {
+      details << "died on signal " << sig_or_code;
+    } else {
+      details << "exited unexpectedly with code " << -sig_or_code;
+    }
+    details << " during epoch [" << epoch.start << "," << epoch.end << "]";
+    if (w.inflight_valid) {
+      details << ", iteration " << w.inflight_iteration << " in flight";
+    }
+    const std::string tail = StderrTail(w.stderr_path);
+    if (!tail.empty()) {
+      details << "; stderr: " << tail;
+    }
+    crash.details = details.str();
+    stats.crash_findings.push_back(crash);
+    if (!w.stderr_path.empty()) {
+      ::unlink(w.stderr_path.c_str());
+      w.stderr_path.clear();
+    }
+    if (journal.is_open()) {
+      std::ostringstream payload;
+      serialize::SerializeFinding(payload, crash);
+      journal.Append(JournalRecord{JournalRecordType::kCrash, crash.iteration, payload.str()});
+      journal.Sync();
+    }
+
+    const int failures = w.consecutive_failures;
+    if (failures >= worker_retries_) {
+      if (!w.inflight_valid) {
+        // Failing before any case begins is not attributable to a case;
+        // retrying cannot converge. Give up on the campaign.
+        stats.resume_error = "supervisor: worker for shard " + std::to_string(index) +
+                             " failed " + std::to_string(failures) +
+                             " times with no case in flight; aborting campaign";
+        return false;
+      }
+      // Poison case: quarantine it, skip its iteration, degrade.
+      QuarantineRecord q;
+      q.iteration = w.inflight_iteration;
+      q.attempts = failures;
+      q.signal_or_code = sig_or_code;
+      q.the_case = w.inflight_case;
+      if (!options.quarantine_path.empty()) {
+        AppendQuarantineRecord(options.quarantine_path, q);
+      }
+      if (journal.is_open()) {
+        journal.Append(
+            JournalRecord{JournalRecordType::kQuarantine, q.iteration, SerializeQuarantine(q)});
+        journal.Sync();
+      }
+      epoch.skip.insert(q.iteration);
+      ++stats.quarantined_cases;
+      if (!epoch.abandoned_counted) {
+        ++stats.epochs_abandoned;
+        epoch.abandoned_counted = true;
+      }
+      w.consecutive_failures = 0;  // fresh budget for the rest of the epoch
+    }
+    w.inflight_valid = false;
+
+    const int64_t backoff = std::min<int64_t>(
+        static_cast<int64_t>(options.retry_backoff_ms) << std::min(failures - 1, 10), 2000);
+    if (backoff > 0) {
+      ::usleep(static_cast<useconds_t>(backoff) * 1000);
+    }
+    const int rc = SpawnWorker(w);
+    if (rc != 0) {
+      stats.resume_error = std::string("supervisor: cannot respawn worker: ") + std::strerror(-rc);
+      return false;
+    }
+    ++stats.worker_restarts;
+    SendEpoch(w, index, epoch);
+    return true;
+  }
+
+  int hang_timeout_ms() const { return campaign_->options.hang_timeout_ms; }
+
+  Generator& generator_;
+  EpochCampaign* campaign_ = nullptr;
+  int jobs_ = 1;
+  int worker_retries_ = 1;
+  std::vector<WorkerProc> workers_;
+  // The committed coverage: a dedup set plus an insertion-order vector (for
+  // per-worker indexed sync deltas and checkpoint key lines).
+  std::set<std::string> cov_set_;
+  std::vector<std::string> cov_vec_;
+  // Finding signatures in a stable order, for the same indexed-delta scheme;
+  // |findings_seen_| is how many of stats.findings it holds.
+  std::vector<std::string> sigs_vec_;
+  size_t findings_seen_ = 0;
+  bool signals_installed_ = false;
+  struct sigaction old_term_ = {};
+  struct sigaction old_int_ = {};
+  struct sigaction old_pipe_ = {};
+};
+
 }  // namespace
 
 int LoadQuarantine(const std::string& path, std::vector<QuarantineRecord>* out,
@@ -218,617 +707,8 @@ SupervisedFuzzer::SupervisedFuzzer(Generator& generator, CampaignOptions options
     : generator_(generator), options_(std::move(options)) {}
 
 CampaignStats SupervisedFuzzer::Run() {
-  CampaignStats stats;
-  stats.tool = generator_.name();
-  options_.epoch_len = std::max<uint64_t>(1, options_.epoch_len);
-  stats.options = options_;
-
-  const uint64_t epoch_len = options_.epoch_len;
-  const int jobs = std::max(1, options_.jobs);
-  const int worker_retries = std::max(1, options_.worker_retries);
-
-  const std::string fingerprint = FingerprintOptions(options_, stats.tool);
-  std::vector<FuzzCase> corpus;
-  uint64_t start_iteration = 1;
-
-  // The coordinator's committed coverage: a dedup set plus an insertion-order
-  // vector (for per-worker indexed sync deltas and checkpoint key lines). The
-  // coordinator never executes instrumented code, so this — not the global
-  // registry — is the campaign's committed set; workers rebuild their local
-  // registries from these keys on every (re)fork.
-  std::set<std::string> cov_set;
-  std::vector<std::string> cov_vec;
-  // Finding signatures in a stable order, for the same indexed-delta scheme.
-  std::vector<std::string> sigs_vec;
-
-  if (!options_.resume_path.empty()) {
-    CampaignCheckpoint cp;
-    std::string error;
-    if (LoadCheckpoint(options_.resume_path, &cp, &error) != 0) {
-      stats.resume_error = error.empty() ? "checkpoint load failed" : error;
-      return stats;
-    }
-    const std::string mismatch = ValidateCheckpointCompat(cp, options_, stats.tool);
-    if (!mismatch.empty()) {
-      stats.resume_error = mismatch;
-      return stats;
-    }
-    stats = std::move(cp.stats);
-    stats.options = options_;
-    stats.tool = generator_.name();
-    corpus = std::move(cp.corpus);
-    for (std::string& key : cp.coverage_keys) {
-      if (cov_set.insert(key).second) {
-        cov_vec.push_back(std::move(key));
-      }
-    }
-    start_iteration = cp.next_iteration;
-    stats.resumed_from = start_iteration;
-  }
-
-  // Conformance prologue, coordinator-side: worker processes never see the
-  // corpus directory — they receive the resulting seeds through the normal
-  // corpus sync, exactly as on a resume. Must run before |sigs_vec| snapshots
-  // the signature set so workers dedup against prologue findings too.
-  if (options_.resume_path.empty() && !options_.conformance_dir.empty() &&
-      !RunConformancePrologue(options_, stats, &corpus)) {
-    return stats;
-  }
-  for (const std::string& sig : stats.finding_signatures) {
-    sigs_vec.push_back(sig);
-  }
-
-  Journal journal;
-  if (!options_.journal_path.empty()) {
-    std::string error;
-    if (journal.Open(options_.journal_path, &error) != 0) {
-      stats.resume_error = "journal open failed: " + error;
-      return stats;
-    }
-  }
-
-  const uint64_t sample_every =
-      options_.coverage_points > 0
-          ? std::max<uint64_t>(1, options_.iterations / options_.coverage_points)
-          : 0;
-  uint64_t last_iteration = options_.iterations;
-  if (options_.stop_after != 0 && options_.stop_after < last_iteration) {
-    last_iteration =
-        std::min(last_iteration, ((options_.stop_after - 1) / epoch_len + 1) * epoch_len);
-  }
-
-  // Signal plumbing: SIGTERM/SIGINT request a graceful stop at the next
-  // barrier; SIGPIPE (a worker dying mid-frame) must not kill the
-  // coordinator — the write error is handled as a worker failure.
-  struct sigaction stop_action;
-  std::memset(&stop_action, 0, sizeof(stop_action));
-  stop_action.sa_handler = HandleStopSignal;
-  struct sigaction old_term, old_int, old_pipe, ignore_pipe;
-  std::memset(&ignore_pipe, 0, sizeof(ignore_pipe));
-  ignore_pipe.sa_handler = SIG_IGN;
-  ::sigaction(SIGTERM, &stop_action, &old_term);
-  ::sigaction(SIGINT, &stop_action, &old_int);
-  ::sigaction(SIGPIPE, &ignore_pipe, &old_pipe);
-  g_stop_requested = 0;
-
-  std::vector<WorkerProc> workers(static_cast<size_t>(jobs));
-
-  const auto spawn_worker = [&](WorkerProc& w) -> int {
-    int cmd[2] = {-1, -1};
-    int res[2] = {-1, -1};
-    if (::pipe(cmd) != 0) {
-      return -errno;
-    }
-    if (::pipe(res) != 0) {
-      const int err = -errno;
-      ::close(cmd[0]);
-      ::close(cmd[1]);
-      return err;
-    }
-    char stderr_tmpl[] = "/tmp/bvf-worker-stderr-XXXXXX";
-    const int stderr_fd = ::mkstemp(stderr_tmpl);
-    std::fflush(nullptr);
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      const int err = -errno;
-      ::close(cmd[0]);
-      ::close(cmd[1]);
-      ::close(res[0]);
-      ::close(res[1]);
-      if (stderr_fd >= 0) {
-        ::close(stderr_fd);
-        ::unlink(stderr_tmpl);
-      }
-      return err;
-    }
-    if (pid == 0) {
-      // Worker process. Drop every coordinator-owned fd (including the other
-      // workers' pipe ends inherited through fork), capture stderr, reset
-      // signal dispositions, and die with the coordinator.
-      ::close(cmd[1]);
-      ::close(res[0]);
-      for (const WorkerProc& other : workers) {
-        if (other.cmd_fd >= 0) {
-          ::close(other.cmd_fd);
-        }
-        if (other.res_fd >= 0) {
-          ::close(other.res_fd);
-        }
-      }
-      if (stderr_fd >= 0) {
-        ::dup2(stderr_fd, 2);
-        ::close(stderr_fd);
-      }
-      ::signal(SIGTERM, SIG_DFL);
-      ::signal(SIGINT, SIG_DFL);
-      ::signal(SIGPIPE, SIG_DFL);
-#ifdef PR_SET_PDEATHSIG
-      ::prctl(PR_SET_PDEATHSIG, SIGKILL);
-#endif
-      ::_exit(RunWorkerProcess(generator_, options_, cmd[0], res[1]));
-    }
-    ::close(cmd[0]);
-    ::close(res[1]);
-    if (stderr_fd >= 0) {
-      ::close(stderr_fd);
-    }
-    w.pid = pid;
-    w.cmd_fd = cmd[1];
-    w.res_fd = res[0];
-    w.stderr_path = stderr_tmpl;
-    w.sent_corpus = 0;
-    w.sent_sigs = 0;
-    w.sent_keys = 0;
-    w.inflight_valid = false;
-    w.last_heard_ms = NowMs();
-    return 0;
-  };
-
-  const auto reap_worker = [&](WorkerProc& w, bool hang) -> int {
-    // Returns the death signal (>0) or negated exit code (<=0).
-    CloseFd(w.cmd_fd);
-    CloseFd(w.res_fd);
-    if (hang && w.pid > 0) {
-      ::kill(w.pid, SIGKILL);
-    }
-    int status = 0;
-    if (w.pid > 0) {
-      while (::waitpid(w.pid, &status, 0) < 0 && errno == EINTR) {
-      }
-    }
-    w.pid = -1;
-    if (hang) {
-      ++stats.worker_hangs;
-      return SIGKILL;
-    }
-    if (WIFSIGNALED(status)) {
-      ++stats.worker_crashes;
-      return WTERMSIG(status);
-    }
-    ++stats.worker_exits;
-    return -(WIFEXITED(status) ? WEXITSTATUS(status) : 0);
-  };
-
-  const auto send_epoch = [&](WorkerProc& w, int index, uint64_t start, uint64_t end,
-                              const std::set<uint64_t>& skip) -> int {
-    // Forensic heartbeats (full case payloads) only on the attempt whose
-    // failure would exhaust the retry budget and quarantine the in-flight
-    // case; every other attempt heartbeats with just the iteration number.
-    const bool forensic = w.consecutive_failures + 1 >= worker_retries;
-    std::ostringstream os;
-    os << "epoch " << start << " " << end << " " << index << " " << jobs << "\n";
-    os << "forensic " << (forensic ? 1 : 0) << "\n";
-    os << "skip " << skip.size() << "\n";
-    for (uint64_t it : skip) {
-      os << "s " << it << "\n";
-    }
-    os << "sigs " << (sigs_vec.size() - w.sent_sigs) << "\n";
-    for (size_t i = w.sent_sigs; i < sigs_vec.size(); ++i) {
-      os << "g " << serialize::Escape(sigs_vec[i]) << "\n";
-    }
-    os << "covkeys " << (cov_vec.size() - w.sent_keys) << "\n";
-    for (size_t i = w.sent_keys; i < cov_vec.size(); ++i) {
-      os << "k " << serialize::Escape(cov_vec[i]) << "\n";
-    }
-    os << "corpus " << (corpus.size() - w.sent_corpus) << "\n";
-    for (size_t i = w.sent_corpus; i < corpus.size(); ++i) {
-      serialize::SerializeCase(os, corpus[i]);
-    }
-    os << "end\n";
-    const int rc = WriteFrame(w.cmd_fd, MsgType::kEpoch, os.str());
-    if (rc == 0) {
-      w.sent_sigs = sigs_vec.size();
-      w.sent_keys = cov_vec.size();
-      w.sent_corpus = corpus.size();
-      w.last_heard_ms = NowMs();
-    }
-    return rc;
-  };
-
-  const auto shutdown_workers = [&] {
-    for (WorkerProc& w : workers) {
-      if (w.cmd_fd >= 0) {
-        WriteFrame(w.cmd_fd, MsgType::kShutdown, "");
-      }
-      CloseFd(w.cmd_fd);
-    }
-    const int64_t deadline = NowMs() + 2000;
-    for (WorkerProc& w : workers) {
-      if (w.pid <= 0) {
-        continue;
-      }
-      for (;;) {
-        int status = 0;
-        const pid_t r = ::waitpid(w.pid, &status, WNOHANG);
-        if (r == w.pid || (r < 0 && errno != EINTR)) {
-          break;
-        }
-        if (NowMs() >= deadline) {
-          ::kill(w.pid, SIGKILL);
-          while (::waitpid(w.pid, &status, 0) < 0 && errno == EINTR) {
-          }
-          break;
-        }
-        ::usleep(10'000);
-      }
-      w.pid = -1;
-      CloseFd(w.res_fd);
-      if (!w.stderr_path.empty()) {
-        ::unlink(w.stderr_path.c_str());
-        w.stderr_path.clear();
-      }
-    }
-  };
-
-  const auto save_checkpoint = [&](uint64_t next_iteration) {
-    CampaignCheckpoint cp;
-    cp.next_iteration = next_iteration;
-    cp.fingerprint = fingerprint;
-    cp.epoch_len = epoch_len;
-    cp.corpus = corpus;
-    cp.stats = stats;
-    cp.stats.final_coverage = cov_set.size();
-    cp.coverage_keys = cov_vec;
-    if (SaveCheckpoint(options_.checkpoint_path, cp) == 0 && journal.is_open()) {
-      journal.Rotate();
-    }
-  };
-
-  for (int w = 0; w < jobs; ++w) {
-    const int rc = spawn_worker(workers[static_cast<size_t>(w)]);
-    if (rc != 0) {
-      stats.resume_error =
-          std::string("supervisor: cannot spawn worker: ") + std::strerror(-rc);
-      shutdown_workers();
-      ::sigaction(SIGTERM, &old_term, nullptr);
-      ::sigaction(SIGINT, &old_int, nullptr);
-      ::sigaction(SIGPIPE, &old_pipe, nullptr);
-      return stats;
-    }
-  }
-
-  bool aborted = false;
-  uint64_t next = start_iteration;
-  while (next <= last_iteration && !aborted) {
-    const uint64_t end =
-        std::min(last_iteration, ((next - 1) / epoch_len + 1) * epoch_len);
-    // Poison iterations quarantined during THIS epoch; the re-run shard skips
-    // them. Persisting across retries of the epoch is what guarantees
-    // progress: every quarantine strictly shrinks the work left to fail.
-    std::set<uint64_t> skip;
-    bool abandoned_counted = false;
-
-    for (WorkerProc& w : workers) {
-      w.result_done = false;
-      w.out = EpochShardResult{};
-      w.result_keys.clear();
-      w.inflight_valid = false;
-    }
-    for (int i = 0; i < jobs; ++i) {
-      WorkerProc& w = workers[static_cast<size_t>(i)];
-      if (send_epoch(w, i, next, end, skip) != 0) {
-        // A dead pipe at send time is a worker failure; the collect loop
-        // below notices the closed result pipe and runs the retry path.
-      }
-    }
-
-    // ---- Collect: wait for every shard's RESULT, reaping and re-forking
-    // failed workers along the way. ----
-    int pending = jobs;
-    while (pending > 0) {
-      std::vector<struct pollfd> pfds;
-      std::vector<int> pfd_worker;
-      int64_t poll_deadline = -1;
-      for (int i = 0; i < jobs; ++i) {
-        WorkerProc& w = workers[static_cast<size_t>(i)];
-        if (w.result_done) {
-          continue;
-        }
-        struct pollfd pfd;
-        pfd.fd = w.res_fd;
-        pfd.events = POLLIN;
-        pfd.revents = 0;
-        pfds.push_back(pfd);
-        pfd_worker.push_back(i);
-        if (options_.hang_timeout_ms > 0) {
-          const int64_t deadline = w.last_heard_ms + options_.hang_timeout_ms;
-          if (poll_deadline < 0 || deadline < poll_deadline) {
-            poll_deadline = deadline;
-          }
-        }
-      }
-      int timeout = -1;
-      if (poll_deadline >= 0) {
-        timeout = static_cast<int>(std::max<int64_t>(0, poll_deadline - NowMs()));
-      }
-      const int pr = ::poll(pfds.data(), pfds.size(), timeout);
-      if (pr < 0 && errno != EINTR) {
-        stats.resume_error =
-            std::string("supervisor: poll failed: ") + std::strerror(errno);
-        aborted = true;
-        break;
-      }
-
-      // Failure handling for one worker: reap, record, maybe quarantine,
-      // back off, re-fork, resend the epoch.
-      const auto handle_failure = [&](int index, bool hang) {
-        WorkerProc& w = workers[static_cast<size_t>(index)];
-        const int sig_or_code = reap_worker(w, hang);
-        ++w.consecutive_failures;
-
-        // First-class crash finding with the captured stderr (digest-excluded).
-        Finding crash;
-        crash.kind = bpf::ReportKind::kWorkerCrash;
-        crash.indicator = 0;
-        crash.iteration = w.inflight_valid ? w.inflight_iteration : 0;
-        std::ostringstream sig;
-        sig << "worker-crash:shard" << index << ":"
-            << (hang ? "hang" : (sig_or_code > 0 ? "signal" : "exit")) << ":"
-            << (sig_or_code > 0 ? sig_or_code : -sig_or_code);
-        crash.signature = sig.str();
-        std::ostringstream details;
-        details << "worker for shard " << index << " ";
-        if (hang) {
-          details << "missed the heartbeat deadline (" << options_.hang_timeout_ms
-                  << " ms) and was killed";
-        } else if (sig_or_code > 0) {
-          details << "died on signal " << sig_or_code;
-        } else {
-          details << "exited unexpectedly with code " << -sig_or_code;
-        }
-        details << " during epoch [" << next << "," << end << "]";
-        if (w.inflight_valid) {
-          details << ", iteration " << w.inflight_iteration << " in flight";
-        }
-        const std::string tail = StderrTail(w.stderr_path);
-        if (!tail.empty()) {
-          details << "; stderr: " << tail;
-        }
-        crash.details = details.str();
-        stats.crash_findings.push_back(crash);
-        if (!w.stderr_path.empty()) {
-          ::unlink(w.stderr_path.c_str());
-          w.stderr_path.clear();
-        }
-        if (journal.is_open()) {
-          JournalRecord record;
-          record.type = JournalRecordType::kCrash;
-          record.iteration = crash.iteration;
-          std::ostringstream payload;
-          serialize::SerializeFinding(payload, crash);
-          record.payload = payload.str();
-          journal.Append(record);
-          journal.Sync();
-        }
-
-        const int failures = w.consecutive_failures;
-        if (failures >= worker_retries) {
-          if (w.inflight_valid) {
-            // Poison case: quarantine it, skip its iteration, degrade.
-            QuarantineRecord q;
-            q.iteration = w.inflight_iteration;
-            q.attempts = failures;
-            q.signal_or_code = sig_or_code;
-            q.the_case = w.inflight_case;
-            if (!options_.quarantine_path.empty()) {
-              AppendQuarantineRecord(options_.quarantine_path, q);
-            }
-            if (journal.is_open()) {
-              JournalRecord record;
-              record.type = JournalRecordType::kQuarantine;
-              record.iteration = q.iteration;
-              record.payload = SerializeQuarantine(q);
-              journal.Append(record);
-              journal.Sync();
-            }
-            skip.insert(q.iteration);
-            ++stats.quarantined_cases;
-            if (!abandoned_counted) {
-              ++stats.epochs_abandoned;
-              abandoned_counted = true;
-            }
-            w.consecutive_failures = 0;  // fresh budget for the rest of the epoch
-          } else {
-            // Failing before any case begins is not attributable to a case;
-            // retrying cannot converge. Give up on the campaign.
-            stats.resume_error =
-                "supervisor: worker for shard " + std::to_string(index) + " failed " +
-                std::to_string(failures) +
-                " times with no case in flight; aborting campaign";
-            aborted = true;
-            return;
-          }
-        }
-        w.inflight_valid = false;
-
-        const int64_t backoff = std::min<int64_t>(
-            static_cast<int64_t>(options_.retry_backoff_ms)
-                << std::min(failures - 1, 10),
-            2000);
-        if (backoff > 0) {
-          ::usleep(static_cast<useconds_t>(backoff) * 1000);
-        }
-        const int rc = spawn_worker(w);
-        if (rc != 0) {
-          stats.resume_error =
-              std::string("supervisor: cannot respawn worker: ") + std::strerror(-rc);
-          aborted = true;
-          return;
-        }
-        ++stats.worker_restarts;
-        send_epoch(w, index, next, end, skip);
-      };
-
-      const int64_t now = NowMs();
-      for (size_t p = 0; p < pfds.size() && !aborted; ++p) {
-        WorkerProc& w = workers[static_cast<size_t>(pfd_worker[p])];
-        if (w.result_done) {
-          continue;  // can happen if an earlier entry's failure re-sorted state
-        }
-        if ((pfds[p].revents & POLLIN) != 0) {
-          Frame frame;
-          const int rc = ReadFrame(w.res_fd, &frame,
-                                   options_.hang_timeout_ms > 0
-                                       ? options_.hang_timeout_ms
-                                       : -1);
-          if (rc != 0) {
-            // EOF, torn frame, or a stall mid-frame: all worker failures.
-            handle_failure(pfd_worker[p], /*hang=*/rc == -ETIMEDOUT);
-            continue;
-          }
-          w.last_heard_ms = NowMs();
-          if (frame.type == MsgType::kCaseBegin) {
-            std::istringstream is(frame.payload);
-            serialize::Reader reader(is);
-            const std::vector<int64_t> fields = reader.Fields("case_begin", 2);
-            FuzzCase fc;
-            if (reader.ok() && fields[1] != 0) {
-              serialize::ParseCase(reader, &fc);  // forensic heartbeat
-            }
-            if (reader.ok()) {
-              w.inflight_valid = true;
-              w.inflight_iteration = static_cast<uint64_t>(fields[0]);
-              w.inflight_case = std::move(fc);
-            }
-          } else if (frame.type == MsgType::kResult) {
-            if (!ParseResultPayload(frame.payload, &w)) {
-              handle_failure(pfd_worker[p], /*hang=*/false);
-              continue;
-            }
-            w.result_done = true;
-            w.inflight_valid = false;
-            w.consecutive_failures = 0;
-            --pending;
-          } else {
-            handle_failure(pfd_worker[p], /*hang=*/false);
-          }
-        } else if ((pfds[p].revents & (POLLHUP | POLLERR | POLLNVAL)) != 0) {
-          handle_failure(pfd_worker[p], /*hang=*/false);
-        } else if (options_.hang_timeout_ms > 0 &&
-                   now - w.last_heard_ms >= options_.hang_timeout_ms) {
-          handle_failure(pfd_worker[p], /*hang=*/true);
-        }
-      }
-    }
-    if (aborted) {
-      break;
-    }
-
-    // ---- Barrier merge: the same steps, in the same order, as the
-    // in-process engine (src/core/parallel.cc). ----
-    for (WorkerProc& w : workers) {
-      MergeEpochCounters(stats, w.out.partial);
-    }
-    for (WorkerProc& w : workers) {
-      for (std::string& key : w.result_keys) {
-        if (cov_set.insert(key).second) {
-          cov_vec.push_back(std::move(key));
-        }
-      }
-      w.result_keys.clear();
-    }
-    for (WorkerProc& w : workers) {
-      stats.verdict_cache_hits += w.vcache_hits;
-      stats.verdict_cache_misses += w.vcache_misses;
-      stats.decode_cache_hits += w.dcache_hits;
-      stats.decode_cache_misses += w.dcache_misses;
-      stats.decode_cache_evictions += w.dcache_evictions;
-      stats.jit_cache_hits += w.jcache_hits;
-      stats.jit_cache_misses += w.jcache_misses;
-      stats.jit_cache_evictions += w.jcache_evictions;
-      w.vcache_hits = w.vcache_misses = 0;
-      w.dcache_hits = w.dcache_misses = w.dcache_evictions = 0;
-      w.jcache_hits = w.jcache_misses = w.jcache_evictions = 0;
-    }
-    const size_t findings_before = stats.findings.size();
-    const size_t corpus_before = corpus.size();
-    {
-      std::vector<CaseRecord*> merged;
-      for (WorkerProc& w : workers) {
-        for (CaseRecord& record : w.out.records) {
-          merged.push_back(&record);
-        }
-      }
-      MergeEpochRecords(std::move(merged), stats, corpus);
-      for (WorkerProc& w : workers) {
-        w.out.records.clear();
-      }
-    }
-    for (size_t i = findings_before; i < stats.findings.size(); ++i) {
-      sigs_vec.push_back(stats.findings[i].signature);
-    }
-    AppendEpochCurve(stats, next, end, sample_every, cov_set.size());
-
-    if (journal.is_open()) {
-      for (size_t i = findings_before; i < stats.findings.size(); ++i) {
-        JournalRecord record;
-        record.type = JournalRecordType::kFinding;
-        record.iteration = stats.findings[i].iteration;
-        std::ostringstream payload;
-        serialize::SerializeFinding(payload, stats.findings[i]);
-        record.payload = payload.str();
-        journal.Append(record);
-      }
-      for (size_t i = corpus_before; i < corpus.size(); ++i) {
-        JournalRecord record;
-        record.type = JournalRecordType::kCorpusCase;
-        record.iteration = end;
-        std::ostringstream payload;
-        serialize::SerializeCase(payload, corpus[i]);
-        record.payload = payload.str();
-        journal.Append(record);
-      }
-      journal.Append(JournalRecord{JournalRecordType::kMark, end + 1, ""});
-      journal.Sync();
-    }
-
-    if (g_stop_requested) {
-      // Graceful stop: this barrier's state is complete and journaled;
-      // checkpoint it and return. Resume continues bit-identically.
-      if (!options_.checkpoint_path.empty()) {
-        save_checkpoint(end + 1);
-      }
-      next = end + 1;
-      break;
-    }
-    if (!options_.checkpoint_path.empty() && options_.checkpoint_every != 0 &&
-        end != last_iteration &&
-        end / options_.checkpoint_every > (next - 1) / options_.checkpoint_every) {
-      save_checkpoint(end + 1);
-    }
-    next = end + 1;
-  }
-
-  shutdown_workers();
-  ::sigaction(SIGTERM, &old_term, nullptr);
-  ::sigaction(SIGINT, &old_int, nullptr);
-  ::sigaction(SIGPIPE, &old_pipe, nullptr);
-
-  stats.final_coverage = cov_set.size();
-  if (!aborted && !g_stop_requested && !options_.checkpoint_path.empty()) {
-    save_checkpoint(last_iteration + 1);
-  }
-  return stats;
+  ProcessTopology topology(generator_);
+  return RunEpochCampaign(generator_.name(), options_, topology);
 }
 
 }  // namespace bvf

@@ -20,10 +20,7 @@
 #include "src/core/supervisor/supervisor.h"
 #include "src/core/supervisor/wire.h"
 #include "src/kernel/coverage.h"
-#include "src/runtime/decoded_prog.h"
-#include "src/runtime/jit_prog.h"
 #include "src/runtime/kernel.h"
-#include "src/runtime/verdict_cache.h"
 
 namespace bvf {
 
@@ -123,31 +120,17 @@ int RunWorkerProcess(Generator& generator, const CampaignOptions& options, int c
   bpf::CoverageSink sink;
   Coverage::InstallThreadSink(&sink);
 
+  // Process-private caches, committed at the end of each epoch shard: the
+  // worker sees what it committed in earlier epochs, as a one-job in-process
+  // campaign does. A hit is digest-invisible by construction, so sharing
+  // them across processes would buy determinism nothing.
+  CacheBundle::Stores stores;
+  CacheBundle caches(options, stores);
   CaseRunner runner(options);
-  // Process-local caches in immediate mode: a hit is digest-invisible by
-  // construction, so sharing them across processes would buy determinism
-  // nothing — only the hit/miss counters differ from an in-process run, and
-  // those are digest-excluded.
-  bpf::VerdictCache vcache;
-  bpf::VerdictCacheShard vshard(vcache, /*immediate=*/true);
-  if (options.verdict_cache) {
-    runner.set_verdict_shard(&vshard);
-  }
-  bpf::DecodeCache dcache;
-  bpf::DecodeCacheShard dshard(dcache, /*immediate=*/true);
-  if (options.interp_engine != bpf::ExecEngine::kLegacy) {
-    runner.set_decode_shard(&dshard);
-  }
-  bpf::JitCache jcache;
-  bpf::JitCacheShard jshard(jcache, /*immediate=*/true);
-  if (options.interp_engine == bpf::ExecEngine::kJit && bpf::JitAvailable()) {
-    runner.set_jit_shard(&jshard);
-  }
+  runner.set_caches(&caches);
 
   std::vector<FuzzCase> corpus;
   std::set<std::string> sigs;
-  uint64_t last_evictions = 0;
-  uint64_t last_jit_evictions = 0;
 
   for (;;) {
     Frame frame;
@@ -205,12 +188,15 @@ int RunWorkerProcess(Generator& generator, const CampaignOptions& options, int c
     EpochShardResult out;
     RunEpochShard(options, generator, runner, sink, corpus, sigs, cmd.index, cmd.jobs,
                   cmd.start, cmd.end, out, hooks);
+    CacheBundle::Commit({&caches});
+    caches.Drain(out.partial);
 
     // Ship the shard result. Coverage travels as stable keys: site ids are
     // registration-order and differ across processes.
     std::ostringstream payload;
     payload << "result " << cmd.start << " " << cmd.end << "\n";
     serialize::SerializeStats(payload, out.partial);
+    serialize::SerializeExcludedCounters(payload, out.partial);
     payload << "records " << out.records.size() << "\n";
     for (const CaseRecord& record : out.records) {
       payload << "r " << record.iteration << " " << (record.corpus_candidate ? 1 : 0)
@@ -228,15 +214,6 @@ int RunWorkerProcess(Generator& generator, const CampaignOptions& options, int c
     for (const std::string& key : keys) {
       payload << "k " << serialize::Escape(key) << "\n";
     }
-    payload << "vcache " << vshard.TakeHits() << " " << vshard.TakeMisses() << "\n";
-    const uint64_t evictions = dcache.evictions();
-    payload << "dcache " << dshard.TakeHits() << " " << dshard.TakeMisses() << " "
-            << (evictions - last_evictions) << "\n";
-    last_evictions = evictions;
-    const uint64_t jit_evictions = jcache.evictions();
-    payload << "jcache " << jshard.TakeHits() << " " << jshard.TakeMisses() << " "
-            << (jit_evictions - last_jit_evictions) << "\n";
-    last_jit_evictions = jit_evictions;
     payload << "end\n";
     if (WriteFrame(res_fd, MsgType::kResult, payload.str()) != 0) {
       return 0;  // supervisor is gone

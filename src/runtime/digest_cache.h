@@ -13,9 +13,6 @@
 //    (CommitShards) while workers are parked — so the insert sequence, the
 //    FIFO eviction sequence, and therefore every later epoch's hit/miss/evict
 //    counters are job-count-invariant;
-//  * a shard in immediate mode (a supervised worker process's private cache)
-//    commits on the spot: hits stay digest-invisible, but its hit/miss
-//    counters depend on how iterations were sharded;
 //  * shard lookups see only the committed store — never the shard's own
 //    pending inserts — keeping the hit/miss sequence identical for every job
 //    count;
@@ -58,21 +55,22 @@ class DigestCache {
 
   // Merges every shard's pending inserts in iteration order (so both the
   // insert sequence and the eviction sequence are job-count-invariant), then
-  // clears them.
+  // clears them. Each eviction is counted on the shard whose insert caused it.
   void CommitShards(const std::vector<DigestCacheShard<V>*>& shards) {
-    std::vector<typename DigestCacheShard<V>::Pending*> merged;
+    using Pending = typename DigestCacheShard<V>::Pending;
+    std::vector<std::pair<Pending*, DigestCacheShard<V>*>> merged;
     for (DigestCacheShard<V>* shard : shards) {
-      for (auto& pending : shard->pending_) {
-        merged.push_back(&pending);
+      for (Pending& pending : shard->pending_) {
+        merged.emplace_back(&pending, shard);
       }
     }
-    std::sort(merged.begin(), merged.end(),
-              [](const typename DigestCacheShard<V>::Pending* a,
-                 const typename DigestCacheShard<V>::Pending* b) {
-                return a->iteration < b->iteration;
-              });
-    for (typename DigestCacheShard<V>::Pending* pending : merged) {
-      CommitOne(pending->key, std::move(pending->value));
+    std::sort(merged.begin(), merged.end(), [](const auto& a, const auto& b) {
+      return a.first->iteration < b.first->iteration;
+    });
+    for (auto& [pending, shard] : merged) {
+      if (CommitOne(pending->key, std::move(pending->value))) {
+        ++shard->evictions_;
+      }
     }
     for (DigestCacheShard<V>* shard : shards) {
       shard->pending_.clear();
@@ -83,19 +81,21 @@ class DigestCache {
   uint64_t evictions() const { return evictions_; }
 
  private:
-  friend class DigestCacheShard<V>;
-
-  void CommitOne(const VerdictKey& key, std::shared_ptr<V> value) {
+  // Returns whether making room evicted an older entry.
+  bool CommitOne(const VerdictKey& key, std::shared_ptr<V> value) {
     if (committed_.find(key) != committed_.end()) {
-      return;  // first commit wins
+      return false;  // first commit wins
     }
+    bool evicted = false;
     if (committed_.size() >= max_entries_ && !fifo_.empty()) {
       committed_.erase(fifo_.front());
       fifo_.pop_front();
       ++evictions_;
+      evicted = true;
     }
     committed_.emplace(key, std::move(value));
     fifo_.push_back(key);
+    return evicted;
   }
 
   size_t max_entries_;
@@ -108,8 +108,7 @@ class DigestCache {
 template <typename V>
 class DigestCacheShard {
  public:
-  DigestCacheShard(DigestCache<V>& owner, bool immediate)
-      : owner_(owner), immediate_(immediate) {}
+  explicit DigestCacheShard(DigestCache<V>& owner) : owner_(owner) {}
 
   void set_iteration(uint64_t iteration) { iteration_ = iteration; }
 
@@ -124,16 +123,13 @@ class DigestCacheShard {
   }
 
   void Insert(const VerdictKey& key, std::shared_ptr<V> value) {
-    if (immediate_) {
-      owner_.CommitOne(key, std::move(value));
-    } else {
-      pending_.emplace_back(iteration_, key, std::move(value));
-    }
+    pending_.emplace_back(iteration_, key, std::move(value));
   }
 
   // Counter drain (the engines fold these into CampaignStats per epoch).
   uint64_t TakeHits() { return std::exchange(hits_, 0); }
   uint64_t TakeMisses() { return std::exchange(misses_, 0); }
+  uint64_t TakeEvictions() { return std::exchange(evictions_, 0); }
 
  private:
   friend class DigestCache<V>;
@@ -147,10 +143,10 @@ class DigestCacheShard {
   };
 
   DigestCache<V>& owner_;
-  bool immediate_;
   uint64_t iteration_ = 0;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
+  uint64_t evictions_ = 0;
   std::vector<Pending> pending_;
 };
 

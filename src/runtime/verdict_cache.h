@@ -21,9 +21,7 @@
 // Concurrency model matches the parallel engine's epoch discipline: the
 // committed maps are read-only between barriers; each worker's shard buffers
 // its inserts and the coordinator merges them (in iteration order, so the
-// entry-cap cutoff is job-count-invariant) while workers are parked. A shard
-// in immediate mode (a supervised worker process's private cache) commits
-// inserts on the spot.
+// entry-cap cutoff is job-count-invariant) while workers are parked.
 
 #ifndef SRC_RUNTIME_VERDICT_CACHE_H_
 #define SRC_RUNTIME_VERDICT_CACHE_H_
@@ -96,8 +94,6 @@ class VerdictCache {
   uint64_t dropped() const { return dropped_; }
 
  private:
-  friend class VerdictCacheShard;
-
   void CommitOne(const VerdictKey& key, CachedVerdict&& verdict) {
     if (committed_.size() >= max_entries_) {
       ++dropped_;
@@ -116,8 +112,7 @@ class VerdictCache {
 // hit/miss sequence identical for every job count.
 class VerdictCacheShard {
  public:
-  VerdictCacheShard(VerdictCache& owner, bool immediate)
-      : owner_(owner), immediate_(immediate) {}
+  explicit VerdictCacheShard(VerdictCache& owner) : owner_(owner) {}
 
   // The campaign iteration whose load is about to consult the cache; used to
   // order pending inserts deterministically at merge time.
@@ -134,11 +129,7 @@ class VerdictCacheShard {
   }
 
   void Insert(const VerdictKey& key, CachedVerdict verdict) {
-    if (immediate_) {
-      owner_.CommitOne(key, std::move(verdict));
-    } else {
-      pending_.emplace_back(iteration_, key, std::move(verdict));
-    }
+    pending_.emplace_back(iteration_, key, std::move(verdict));
   }
 
   // Counter drain (the engines fold these into CampaignStats per epoch).
@@ -157,7 +148,6 @@ class VerdictCacheShard {
   };
 
   VerdictCache& owner_;
-  bool immediate_;
   uint64_t iteration_ = 0;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;

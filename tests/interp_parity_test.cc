@@ -469,16 +469,19 @@ TEST(DecodeCacheTest, CountersSurviveCheckpointResume) {
 
 TEST(DecodeCacheTest, FifoEvictionIsDeterministicAndBounded) {
   bpf::DecodeCache cache(/*max_entries=*/2);
-  bpf::DecodeCacheShard shard(cache, /*immediate=*/true);
+  bpf::DecodeCacheShard shard(cache);
   const auto decoded = std::make_shared<const bpf::DecodedProgram>();
   const bpf::VerdictKey a{1, 1};
   const bpf::VerdictKey b{2, 2};
   const bpf::VerdictKey c{3, 3};
   shard.Insert(a, decoded);
+  cache.CommitShards({&shard});
   shard.Insert(b, decoded);
+  cache.CommitShards({&shard});
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.evictions(), 0u);
-  shard.Insert(c, decoded);  // evicts a (oldest commit)
+  shard.Insert(c, decoded);
+  cache.CommitShards({&shard});  // evicts a (oldest commit)
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.evictions(), 1u);
   EXPECT_EQ(cache.Lookup(a), nullptr);
@@ -492,18 +495,20 @@ TEST(DecodeCacheTest, EvictedEntryStillRunsWhileLoaded) {
   Kernel kernel(KernelVersion::kBpfNext, BugConfig::None());
   bpf::Bpf facade(kernel);
   bpf::DecodeCache cache(/*max_entries=*/1);
-  bpf::DecodeCacheShard shard(cache, /*immediate=*/true);
+  bpf::DecodeCacheShard shard(cache);
   facade.set_decode_cache(&shard);
 
   ProgramBuilder first;
   first.RetImm(41);
   const int fd = facade.ProgLoad(first.Build());
   ASSERT_GT(fd, 0);
+  cache.CommitShards({&shard});
 
   ProgramBuilder second;
   second.RetImm(42);
-  const int fd2 = facade.ProgLoad(second.Build());  // evicts the first entry
+  const int fd2 = facade.ProgLoad(second.Build());
   ASSERT_GT(fd2, 0);
+  cache.CommitShards({&shard});  // evicts the first entry
   EXPECT_EQ(cache.evictions(), 1u);
 
   EXPECT_EQ(facade.ProgTestRun(fd).r0, 41u);
@@ -514,7 +519,7 @@ TEST(DecodeCacheTest, CacheHitProducesIdenticalExecution) {
   Kernel kernel(KernelVersion::kBpfNext, BugConfig::None());
   bpf::Bpf facade(kernel);
   bpf::DecodeCache cache;
-  bpf::DecodeCacheShard shard(cache, /*immediate=*/true);
+  bpf::DecodeCacheShard shard(cache);
   facade.set_decode_cache(&shard);
 
   ProgramBuilder b;
@@ -528,6 +533,7 @@ TEST(DecodeCacheTest, CacheHitProducesIdenticalExecution) {
 
   const int miss_fd = facade.ProgLoad(prog);
   ASSERT_GT(miss_fd, 0);
+  cache.CommitShards({&shard});
   const int hit_fd = facade.ProgLoad(prog);
   ASSERT_GT(hit_fd, 0);
   EXPECT_EQ(shard.TakeMisses(), 1u);
@@ -586,16 +592,19 @@ TEST(JitCacheTest, CountersSurviveCheckpointResume) {
 
 TEST(JitCacheTest, FifoEvictionIsDeterministicAndBounded) {
   bpf::JitCache cache(/*max_entries=*/2);
-  bpf::JitCacheShard shard(cache, /*immediate=*/true);
+  bpf::JitCacheShard shard(cache);
   const auto blob = std::make_shared<const bpf::JitProgram>();
   const bpf::VerdictKey a{1, 1};
   const bpf::VerdictKey b{2, 2};
   const bpf::VerdictKey c{3, 3};
   shard.Insert(a, blob);
+  cache.CommitShards({&shard});
   shard.Insert(b, blob);
+  cache.CommitShards({&shard});
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.evictions(), 0u);
-  shard.Insert(c, blob);  // evicts a (oldest commit)
+  shard.Insert(c, blob);
+  cache.CommitShards({&shard});  // evicts a (oldest commit)
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.evictions(), 1u);
   EXPECT_EQ(cache.Lookup(a), nullptr);
@@ -613,18 +622,20 @@ TEST(JitCacheTest, EvictedEntryStillRunsWhileLoaded) {
   bpf::Bpf facade(kernel);
   facade.set_exec_engine(bpf::ExecEngine::kJit);
   bpf::JitCache cache(/*max_entries=*/1);
-  bpf::JitCacheShard shard(cache, /*immediate=*/true);
+  bpf::JitCacheShard shard(cache);
   facade.set_jit_cache(&shard);
 
   ProgramBuilder first;
   first.RetImm(41);
   const int fd = facade.ProgLoad(first.Build());
   ASSERT_GT(fd, 0);
+  cache.CommitShards({&shard});
 
   ProgramBuilder second;
   second.RetImm(42);
-  const int fd2 = facade.ProgLoad(second.Build());  // evicts the first entry
+  const int fd2 = facade.ProgLoad(second.Build());
   ASSERT_GT(fd2, 0);
+  cache.CommitShards({&shard});  // evicts the first entry
   EXPECT_EQ(cache.evictions(), 1u);
 
   EXPECT_EQ(facade.ProgTestRun(fd).r0, 41u);
@@ -639,7 +650,7 @@ TEST(JitCacheTest, CacheHitSharesOneCodeBlob) {
   bpf::Bpf facade(kernel);
   facade.set_exec_engine(bpf::ExecEngine::kJit);
   bpf::JitCache cache;
-  bpf::JitCacheShard shard(cache, /*immediate=*/true);
+  bpf::JitCacheShard shard(cache);
   facade.set_jit_cache(&shard);
 
   ProgramBuilder b;
@@ -653,6 +664,7 @@ TEST(JitCacheTest, CacheHitSharesOneCodeBlob) {
 
   const int miss_fd = facade.ProgLoad(prog);
   ASSERT_GT(miss_fd, 0);
+  cache.CommitShards({&shard});
   const int hit_fd = facade.ProgLoad(prog);
   ASSERT_GT(hit_fd, 0);
   EXPECT_EQ(shard.TakeMisses(), 1u);

@@ -1,7 +1,7 @@
 // Parallel sharded campaign engine (DESIGN.md §9): job-count invariance of
 // findings / outcome histograms / coverage / StatsDigest, cross-job-count
 // checkpoint resume, the digest-keyed verdict cache's digest-invisibility
-// (in-process and in supervised immediate mode), and thread safety of the
+// (in-process and in supervised worker processes), and thread safety of the
 // global coverage registry.
 
 #include <gtest/gtest.h>
@@ -287,11 +287,11 @@ TEST(VerdictCacheTest, CacheWorksOnRealCampaignWithoutChangingDigest) {
   EXPECT_EQ(on.verdict_cache_hits + on.verdict_cache_misses, options.iterations);
 }
 
-TEST(VerdictCacheTest, SupervisedImmediateModeIsDigestPreserving) {
-  // Supervised worker processes keep private verdict caches in immediate
-  // mode (inserts commit on the spot, not at the barrier). A hit must still
-  // be digest-invisible: the supervised cache-on campaign matches the
-  // in-process cache-off one, and every load is counted exactly once.
+TEST(VerdictCacheTest, SupervisedWorkerCachesAreDigestPreserving) {
+  // Supervised worker processes keep private verdict caches, each committing
+  // only its own shard's inserts. A hit must still be digest-invisible: the
+  // supervised cache-on campaign matches the in-process cache-off one, and
+  // every load is counted exactly once.
   CampaignOptions options = SmallCampaign();
   const CampaignStats stats_off = RunParallel(options);
 

@@ -14,6 +14,7 @@
 
 #include "src/core/checkpoint.h"
 #include "src/core/parallel.h"
+#include "src/core/serialize.h"
 #include "src/core/structured_gen.h"
 #include "src/ebpf/insn.h"
 #include "src/kernel/coverage.h"
@@ -428,6 +429,83 @@ TEST(CheckpointTest, RoundTripPreservesEverything) {
   ASSERT_EQ(loaded.corpus[0].maps.size(), 1u);
   EXPECT_EQ(loaded.corpus[0].maps[0].value_size, 16u);
   std::remove(path.c_str());
+}
+
+// ---- Digest-excluded counter lines (checkpoint files and worker frames) ----
+
+TEST(ExcludedCountersTest, LinesMatchTheCheckpointGrammar) {
+  CampaignStats stats;
+  stats.verdict_cache_hits = 1;
+  stats.verdict_cache_misses = 2;
+  stats.decode_cache_hits = 3;
+  stats.decode_cache_misses = 4;
+  stats.decode_cache_evictions = 5;
+  stats.jit_cache_hits = 6;
+  stats.jit_cache_misses = 7;
+  stats.jit_cache_evictions = 8;
+  stats.metamorph_bases = 9;
+  stats.metamorph_variants = 10;
+  stats.metamorph_verdict_divergences = 11;
+  stats.metamorph_witness_divergences = 12;
+  stats.metamorph_sanitizer_divergences = 13;
+  stats.worker_crashes = 14;
+  stats.worker_hangs = 15;
+  stats.worker_exits = 16;
+  stats.worker_restarts = 17;
+  stats.epochs_abandoned = 18;
+  stats.quarantined_cases = 19;
+  stats.conf_cases = 20;
+  stats.conf_passed = 21;
+  stats.conf_mismatches = 22;
+  stats.conf_rejects = 23;
+  stats.conf_seeded = 24;
+  std::ostringstream os;
+  serialize::SerializeExcludedCounters(os, stats);
+  EXPECT_EQ(os.str(),
+            "vcache 1 2\n"
+            "dcache 3 4 5\n"
+            "jcache 6 7 8\n"
+            "mmorph 9 10 11 12 13\n"
+            "supv 14 15 16 17 18 19\n"
+            "conf 20 21 22 23 24\n");
+
+  std::istringstream is(os.str());
+  serialize::Reader reader(is);
+  CampaignStats parsed;
+  serialize::ParseExcludedCounters(reader, &parsed);
+  ASSERT_TRUE(reader.ok()) << reader.error();
+  std::ostringstream again;
+  serialize::SerializeExcludedCounters(again, parsed);
+  EXPECT_EQ(again.str(), os.str());
+}
+
+TEST(ExcludedCountersTest, ParserAcceptsOlderCheckpoints) {
+  // Before the conformance prologue and the JIT tier there were no conf or
+  // jcache lines; the removed canonical cache level left a ccache line.
+  std::istringstream is(
+      "vcache 1 2\n"
+      "ccache 7 7\n"
+      "dcache 3 4 5\n"
+      "mmorph 9 10 11 12 13\n"
+      "supv 14 15 16 17 18 19\n"
+      "end\n");
+  serialize::Reader reader(is);
+  CampaignStats parsed;
+  serialize::ParseExcludedCounters(reader, &parsed);
+  reader.Line("end");
+  ASSERT_TRUE(reader.ok()) << reader.error();
+  EXPECT_EQ(parsed.verdict_cache_misses, 2u);
+  EXPECT_EQ(parsed.decode_cache_evictions, 5u);
+  EXPECT_EQ(parsed.jit_cache_hits, 0u);
+  EXPECT_EQ(parsed.metamorph_sanitizer_divergences, 13u);
+  EXPECT_EQ(parsed.quarantined_cases, 19u);
+  EXPECT_EQ(parsed.conf_cases, 0u);
+}
+
+TEST(FingerprintPinTest, DefaultOptionsHashIsUnchanged) {
+  // Checkpoints written by earlier builds must keep resuming: the options
+  // hash of a default campaign is part of the on-disk contract.
+  EXPECT_EQ(FingerprintOptions(CampaignOptions{}, "bvf"), "f01dfc251085e300");
 }
 
 TEST(CheckpointTest, LoadRejectsCorruptFile) {

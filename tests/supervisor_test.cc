@@ -59,6 +59,54 @@ CampaignStats RunParallel(const CampaignOptions& options) {
   return fuzzer.Run();
 }
 
+// ---- Digest-excluded counters agree with the in-process engine ----
+
+TEST(SupervisorCounterTest, MetamorphCountersMatchInProcess) {
+  // The metamorph volume counters ride the worker's result frame beside the
+  // stats body; they must arrive, and agree with an in-process run.
+  CampaignOptions options = SmallCampaign();
+  options.metamorph = true;
+  const CampaignStats in_process = RunParallel(options);
+  const CampaignStats supervised = RunSupervised(options);
+  ASSERT_TRUE(supervised.resume_error.empty()) << supervised.resume_error;
+  EXPECT_EQ(StatsDigest(supervised), StatsDigest(in_process));
+  EXPECT_GT(in_process.metamorph_bases, 0u);
+  EXPECT_EQ(supervised.metamorph_bases, in_process.metamorph_bases);
+  EXPECT_EQ(supervised.metamorph_variants, in_process.metamorph_variants);
+  EXPECT_EQ(supervised.metamorph_verdict_divergences,
+            in_process.metamorph_verdict_divergences);
+  EXPECT_EQ(supervised.metamorph_witness_divergences,
+            in_process.metamorph_witness_divergences);
+  EXPECT_EQ(supervised.metamorph_sanitizer_divergences,
+            in_process.metamorph_sanitizer_divergences);
+  EXPECT_EQ(supervised.exec_runs, in_process.exec_runs);
+  EXPECT_EQ(supervised.accepted, in_process.accepted);
+}
+
+TEST(SupervisorCounterTest, CacheCountersMatchInProcessAtOneJob) {
+  // One worker process commits its caches at the end of every epoch shard,
+  // which is what the one-job in-process barrier does: every cache counter
+  // must agree.
+  CampaignOptions options = SmallCampaign();
+  options.iterations = 600;
+  options.jobs = 1;
+  options.verdict_cache = true;
+  options.interp_engine = bpf::ExecEngine::kJit;
+  const CampaignStats in_process = RunParallel(options);
+  const CampaignStats supervised = RunSupervised(options);
+  ASSERT_TRUE(supervised.resume_error.empty()) << supervised.resume_error;
+  EXPECT_EQ(StatsDigest(supervised), StatsDigest(in_process));
+  EXPECT_GT(in_process.verdict_cache_hits, 0u);
+  EXPECT_EQ(supervised.verdict_cache_hits, in_process.verdict_cache_hits);
+  EXPECT_EQ(supervised.verdict_cache_misses, in_process.verdict_cache_misses);
+  EXPECT_EQ(supervised.decode_cache_hits, in_process.decode_cache_hits);
+  EXPECT_EQ(supervised.decode_cache_misses, in_process.decode_cache_misses);
+  EXPECT_EQ(supervised.decode_cache_evictions, in_process.decode_cache_evictions);
+  EXPECT_EQ(supervised.jit_cache_hits, in_process.jit_cache_hits);
+  EXPECT_EQ(supervised.jit_cache_misses, in_process.jit_cache_misses);
+  EXPECT_EQ(supervised.jit_cache_evictions, in_process.jit_cache_evictions);
+}
+
 // ---- Digest identity with the in-process engine ----
 
 TEST(SupervisorDigestTest, MatchesInProcessEngineAcrossJobCounts) {
