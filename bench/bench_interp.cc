@@ -107,9 +107,8 @@ struct Measurement {
 
 // One campaign-case-shaped batch per ProgTestRunRepeat call: reset, map,
 // load, run |repeat| times. Returns the wall time of |batches| such cases.
-// No caches are attached: every batch pays the full verify/decode/compile
-// cost its engine incurs at PROG_LOAD, exactly like a cache-miss campaign
-// case.
+// Every batch pays the full verify/decode/compile cost its engine incurs at
+// PROG_LOAD, exactly like a campaign case.
 Measurement Measure(bpf::ExecEngine engine, bool sanitize, int repeat) {
   Measurement best;
   best.ok = false;

@@ -1,8 +1,8 @@
 // Experiment: parallel sharded campaign engine throughput (DESIGN.md §9).
 //
-// Measures the same campaign (all bugs, faults off, structured generation,
-// verdict cache on) on the epoch engine at jobs ∈ {1, 2, 4, 8}, reporting
-// executions/sec, covered-branches/sec, and the verdict-cache hit rate.
+// Measures the same campaign (all bugs, faults off, structured generation)
+// on the epoch engine at jobs ∈ {1, 2, 4, 8}, reporting executions/sec and
+// covered-branches/sec.
 // Because the engine is bit-deterministic across job counts, every row is
 // required to produce the same StatsDigest — a throughput run that diverges
 // is a correctness failure, not a perf data point.
@@ -41,8 +41,6 @@ struct RunResult {
   double seconds = 0;
   uint64_t exec_runs = 0;
   size_t coverage = 0;
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
   std::string digest;
 };
 
@@ -53,7 +51,6 @@ CampaignOptions BenchOptions(int jobs) {
   options.iterations = kIterations;
   options.seed = 1;
   options.jobs = jobs;
-  options.verdict_cache = true;
   return options;
 }
 
@@ -70,17 +67,10 @@ RunResult Measure(int jobs) {
       best.seconds = seconds;
       best.exec_runs = stats.exec_runs;
       best.coverage = stats.final_coverage;
-      best.cache_hits = stats.verdict_cache_hits;
-      best.cache_misses = stats.verdict_cache_misses;
       best.digest = StatsDigest(stats);
     }
   }
   return best;
-}
-
-double HitRate(const RunResult& r) {
-  const uint64_t total = r.cache_hits + r.cache_misses;
-  return total == 0 ? 0.0 : static_cast<double>(r.cache_hits) / static_cast<double>(total);
 }
 
 }  // namespace
@@ -90,7 +80,7 @@ int main() {
   using namespace bvf;
   const unsigned hw_threads = std::thread::hardware_concurrency();
   PrintHeader("parallel sharded campaign engine: throughput and determinism");
-  printf("campaign: %" PRIu64 " iterations, all bugs, verdict cache on, best of %d runs\n",
+  printf("campaign: %" PRIu64 " iterations, all bugs, best of %d runs\n",
          kIterations, kRepeats);
   printf("host: %u hardware threads\n\n", hw_threads);
 
@@ -100,9 +90,9 @@ int main() {
     parallel[i] = Measure(kJobs[i]);
   }
 
-  printf("%-12s %9s %10s %10s %9s %8s\n", "engine", "seconds", "iters/s", "execs/s",
-         "cov/s", "hit%");
-  PrintRule(64);
+  printf("%-12s %9s %10s %10s %9s\n", "engine", "seconds", "iters/s", "execs/s",
+         "cov/s");
+  PrintRule(55);
   bool digests_match = true;
   bool any_oversubscribed = false;
   for (int i = 0; i < 4; ++i) {
@@ -114,10 +104,9 @@ int main() {
     any_oversubscribed = any_oversubscribed || oversubscribed;
     char label[16];
     snprintf(label, sizeof(label), "jobs=%d", kJobs[i]);
-    printf("%-12s %9.3f %10.0f %10.0f %9.0f %7.1f%%%s\n", label, parallel[i].seconds,
+    printf("%-12s %9.3f %10.0f %10.0f %9.0f%s\n", label, parallel[i].seconds,
            kIterations / parallel[i].seconds, parallel[i].exec_runs / parallel[i].seconds,
-           parallel[i].coverage / parallel[i].seconds, 100 * HitRate(parallel[i]),
-           oversubscribed ? "  *" : "");
+           parallel[i].coverage / parallel[i].seconds, oversubscribed ? "  *" : "");
     digests_match = digests_match && parallel[i].digest == parallel[0].digest;
   }
   if (any_oversubscribed) {
@@ -149,10 +138,10 @@ int main() {
       fprintf(json,
               "    {\"jobs\": %d, \"seconds\": %.4f, \"iters_per_sec\": %.1f, "
               "\"execs_per_sec\": %.1f, \"coverage_per_sec\": %.1f, "
-              "\"cache_hit_rate\": %.4f, \"informational\": %s}%s\n",
+              "\"informational\": %s}%s\n",
               kJobs[i], parallel[i].seconds, kIterations / parallel[i].seconds,
               parallel[i].exec_runs / parallel[i].seconds,
-              parallel[i].coverage / parallel[i].seconds, HitRate(parallel[i]),
+              parallel[i].coverage / parallel[i].seconds,
               static_cast<unsigned>(kJobs[i]) > hw_threads ? "true" : "false",
               i == 3 ? "" : ",");
     }

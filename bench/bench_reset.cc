@@ -79,7 +79,6 @@ bool RunOnceIsolated(bool optimized, RunResult* best, double* seconds) {
     options.iterations = kIterations;
     options.seed = 1;
     options.jobs = 1;
-    options.verdict_cache = true;  // the bench_parallel jobs=1 configuration
     options.dirty_reset = optimized;
     bpf::SetPruneFingerprintEnabled(optimized);
 

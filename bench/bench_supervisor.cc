@@ -2,8 +2,7 @@
 //
 // Runs the same campaign (all bugs, faults off, structured generation with
 // every case pinned to repeat=64 sanitized executions — the campaign's hot
-// ProgTestRunRepeat shape, cf. bench_interp — verdict cache on, jobs=2)
-// three ways:
+// ProgTestRunRepeat shape, cf. bench_interp — jobs=2) three ways:
 //
 //   * in-process parallel engine (the §9 thread-sharded baseline),
 //   * supervised: one forked worker process per shard, epochs streamed over
@@ -23,14 +22,27 @@
 // The crash row is never gated on time — its digest must still match, which
 // is the whole point of transparent retry.
 //
+// Measurement follows bench_reset: every campaign runs in a forked child, so
+// no run inherits another's heap state; the three engines run interleaved
+// (in-process, supervised, crash, in-process, ...), and each overhead is the
+// median of the per-round ratios against that round's in-process run —
+// adjacent runs see the same machine state, so load drift cancels inside a
+// round. The table reports each engine's best run.
+//
 // Results go to stdout as a table and to bench_supervisor.json for tooling.
 
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/core/checkpoint.h"
@@ -41,8 +53,8 @@ namespace bvf {
 namespace {
 
 constexpr uint64_t kIterations = 1000;
-constexpr int kRepeats = 5;  // best-of to damp scheduler noise (forked workers
-                             // on a shared core are noisier than threads)
+constexpr int kRepeats = 7;  // interleaved rounds; forked workers on a shared
+                             // core are noisier than threads
 constexpr int kJobs = 2;
 constexpr int kTestRuns = 64;
 
@@ -80,13 +92,14 @@ double Now() {
       .count();
 }
 
+// Fixed-size so a forked child can send it back over a pipe in one write.
 struct RunResult {
   double seconds = 0;
   uint64_t exec_runs = 0;
-  size_t coverage = 0;
+  uint64_t coverage = 0;
   uint64_t crashes = 0;
   uint64_t restarts = 0;
-  std::string digest;
+  char digest[32] = {};
 };
 
 CampaignOptions BenchOptions() {
@@ -96,46 +109,72 @@ CampaignOptions BenchOptions() {
   options.iterations = kIterations;
   options.seed = 1;
   options.jobs = kJobs;
-  options.verdict_cache = true;
   return options;
 }
 
 enum class Engine { kInProcess, kSupervised, kSupervisedCrash };
 
-RunResult Measure(Engine engine, const char* marker_dir) {
-  RunResult best;
-  for (int repeat = 0; repeat < kRepeats; ++repeat) {
-    CampaignOptions options = BenchOptions();
-    if (engine == Engine::kSupervisedCrash) {
-      // One SIGKILL per run: the marker file arms a single shot, and a fresh
-      // path per repeat re-arms it.
-      char marker[256];
-      snprintf(marker, sizeof(marker), "%s/crash-%d.marker", marker_dir, repeat);
-      options.test_crash_at = kIterations / 2;
-      options.test_crash_mode = 1;  // SIGKILL
-      options.test_crash_marker = marker;
-    }
-    Repeat64Generator generator(options.version);
-    CampaignStats stats;
-    const double start = Now();
-    if (engine == Engine::kInProcess) {
-      ParallelFuzzer fuzzer(generator, options);
-      stats = fuzzer.Run();
-    } else {
-      SupervisedFuzzer fuzzer(generator, options);
-      stats = fuzzer.Run();
-    }
-    const double seconds = Now() - start;
-    if (repeat == 0 || seconds < best.seconds) {
-      best.seconds = seconds;
-      best.exec_runs = stats.exec_runs;
-      best.coverage = stats.final_coverage;
-      best.crashes = stats.worker_crashes;
-      best.restarts = stats.worker_restarts;
-      best.digest = StatsDigest(stats);
-    }
+RunResult RunCampaign(Engine engine, int round, const char* marker_dir) {
+  CampaignOptions options = BenchOptions();
+  char marker[256];
+  if (engine == Engine::kSupervisedCrash) {
+    // One SIGKILL per run: the marker file arms a single shot, and a fresh
+    // path per round re-arms it.
+    snprintf(marker, sizeof(marker), "%s/crash-%d.marker", marker_dir, round);
+    options.test_crash_at = kIterations / 2;
+    options.test_crash_mode = 1;  // SIGKILL
+    options.test_crash_marker = marker;
   }
-  return best;
+  Repeat64Generator generator(options.version);
+  CampaignStats stats;
+  const double start = Now();
+  if (engine == Engine::kInProcess) {
+    ParallelFuzzer fuzzer(generator, options);
+    stats = fuzzer.Run();
+  } else {
+    SupervisedFuzzer fuzzer(generator, options);
+    stats = fuzzer.Run();
+  }
+  RunResult result;
+  result.seconds = Now() - start;
+  result.exec_runs = stats.exec_runs;
+  result.coverage = stats.final_coverage;
+  result.crashes = stats.worker_crashes;
+  result.restarts = stats.worker_restarts;
+  snprintf(result.digest, sizeof(result.digest), "%s", StatsDigest(stats).c_str());
+  return result;
+}
+
+// One campaign in a forked child. False if the child failed.
+bool RunIsolated(Engine engine, int round, const char* marker_dir, RunResult* out) {
+  int fds[2];
+  if (pipe(fds) != 0) {
+    return false;
+  }
+  const pid_t pid = fork();
+  if (pid < 0) {
+    close(fds[0]);
+    close(fds[1]);
+    return false;
+  }
+  if (pid == 0) {
+    close(fds[0]);
+    const RunResult result = RunCampaign(engine, round, marker_dir);
+    const ssize_t written = write(fds[1], &result, sizeof(result));
+    _exit(written == sizeof(result) ? 0 : 1);
+  }
+  close(fds[1]);
+  const ssize_t got = read(fds[0], out, sizeof(*out));
+  close(fds[0]);
+  int status = 0;
+  waitpid(pid, &status, 0);
+  return got == static_cast<ssize_t>(sizeof(*out)) && WIFEXITED(status) &&
+         WEXITSTATUS(status) == 0;
+}
+
+double Median(std::vector<double> xs) {
+  std::sort(xs.begin(), xs.end());
+  return xs[xs.size() / 2];
 }
 
 }  // namespace
@@ -152,14 +191,41 @@ int main() {
 
   PrintHeader("crash-isolated campaign supervisor: overhead and determinism");
   printf("campaign: %" PRIu64
-         " iterations, all bugs, repeat=%d sanitized runs/case, verdict cache on, "
-         "jobs=%d, best of %d runs\n",
+         " iterations, all bugs, repeat=%d sanitized runs/case, "
+         "jobs=%d, %d interleaved isolated rounds\n",
          kIterations, kTestRuns, kJobs, kRepeats);
   printf("host: %u hardware threads\n\n", hw_threads);
 
-  const RunResult inproc = Measure(Engine::kInProcess, marker_dir);
-  const RunResult sup = Measure(Engine::kSupervised, marker_dir);
-  const RunResult crash = Measure(Engine::kSupervisedCrash, marker_dir);
+  // Per engine: the best run for the table, every run's digest and crash
+  // accounting for the gates, and each round's ratio to its in-process run.
+  RunResult best[3];
+  bool digests_match = true;
+  bool crash_rows_ok = true;
+  std::vector<double> sup_ratios;
+  std::vector<double> crash_ratios;
+  std::string digest;
+  for (int round = 0; round < kRepeats; ++round) {
+    RunResult runs[3];
+    for (int e = 0; e < 3; ++e) {
+      if (!RunIsolated(static_cast<Engine>(e), round, marker_dir, &runs[e])) {
+        fprintf(stderr, "measurement child failed\n");
+        return 1;
+      }
+      if (round == 0 || runs[e].seconds < best[e].seconds) {
+        best[e] = runs[e];
+      }
+      if (digest.empty()) {
+        digest = runs[e].digest;
+      }
+      digests_match &= digest == runs[e].digest;
+    }
+    crash_rows_ok &= runs[2].crashes == 1 && runs[2].restarts == 1;
+    sup_ratios.push_back(runs[1].seconds / runs[0].seconds);
+    crash_ratios.push_back(runs[2].seconds / runs[0].seconds);
+  }
+  const RunResult& inproc = best[0];
+  const RunResult& sup = best[1];
+  const RunResult& crash = best[2];
 
   printf("%-22s %9s %10s %10s %9s %9s\n", "engine", "seconds", "iters/s", "execs/s",
          "crashes", "restarts");
@@ -172,19 +238,17 @@ int main() {
            rows[i]->exec_runs / rows[i]->seconds, rows[i]->crashes, rows[i]->restarts);
   }
 
-  const bool digests_match =
-      sup.digest == inproc.digest && crash.digest == inproc.digest;
-  const double overhead = 100 * (sup.seconds / inproc.seconds - 1);
-  const double crash_cost = 100 * (crash.seconds / inproc.seconds - 1);
-  printf("\nsupervised + crash-recovery digests match in-process: %s (%s)\n",
-         digests_match ? "yes" : "NO", inproc.digest.c_str());
-  printf("supervised vs in-process: %+.2f%% (acceptance bar < 10%%)\n", overhead);
+  const double overhead = 100 * (Median(sup_ratios) - 1);
+  const double crash_cost = 100 * (Median(crash_ratios) - 1);
+  printf("\nsupervised + crash-recovery digests match in-process in every run: %s (%s)\n",
+         digests_match ? "yes" : "NO", digest.c_str());
+  printf("supervised vs in-process: %+.2f%%, median of %d interleaved rounds "
+         "(acceptance bar < 10%%)\n",
+         overhead, kRepeats);
   printf("supervised with one SIGKILL + retried epoch: %+.2f%% (informational)\n",
          crash_cost);
-  if (crash.crashes != 1 || crash.restarts != 1) {
-    printf("UNEXPECTED: crash row saw %" PRIu64 " crashes / %" PRIu64
-           " restarts (wanted 1/1)\n",
-           crash.crashes, crash.restarts);
+  if (!crash_rows_ok) {
+    printf("UNEXPECTED: a crash run did not see exactly 1 crash / 1 restart\n");
   }
 
   FILE* json = fopen("bench_supervisor.json", "w");
@@ -201,6 +265,7 @@ int main() {
             "  \"supervised_seconds\": %.4f,\n"
             "  \"supervised_execs_per_sec\": %.1f,\n"
             "  \"supervised_overhead_pct\": %.2f,\n"
+            "  \"overhead_method\": \"median of per-round ratios, fork-isolated interleaved runs\",\n"
             "  \"crash_recovery_seconds\": %.4f,\n"
             "  \"crash_recovery_overhead_pct\": %.2f,\n"
             "  \"crash_row_crashes\": %" PRIu64 ",\n"
@@ -212,7 +277,7 @@ int main() {
             inproc.exec_runs / inproc.seconds, sup.seconds,
             sup.exec_runs / sup.seconds, overhead, crash.seconds, crash_cost,
             crash.crashes, crash.restarts, digests_match ? "true" : "false",
-            inproc.digest.c_str());
+            digest.c_str());
     fclose(json);
     printf("wrote bench_supervisor.json\n");
   }
@@ -223,7 +288,7 @@ int main() {
   if (overhead >= 10) {
     return 1;
   }
-  if (crash.crashes != 1 || crash.restarts != 1) {
+  if (!crash_rows_ok) {
     return 1;
   }
   return 0;

@@ -6,7 +6,7 @@
 // Usage: fuzz_campaign [iterations] [seed] [--analysis]
 //          [--fault-rate=F] [--confirm-runs=K]
 //          [--checkpoint=PATH] [--checkpoint-every=N] [--resume=PATH]
-//          [--stop-after=N] [--jobs=N] [--verdict-cache=on|off]
+//          [--stop-after=N] [--jobs=N]
 //          [--interp=decoded|legacy|jit] [--jit-oracle]
 //          [--conformance=DIR]
 //          [--metamorph] [--metamorph-k=K] [--smoke]
@@ -15,11 +15,9 @@
 //
 // The campaign runs on the epoch engine (src/core/parallel.h) with --jobs
 // worker threads (default 1). Results are bit-identical for every N, so a
-// checkpoint written at --jobs=8 resumes at --jobs=1. --verdict-cache=on
-// enables the digest-keyed verifier-verdict cache. --interp selects the
-// execution engine: decoded micro-op dispatch with the
-// digest-keyed decode cache (the default), the native x86-64 JIT tier with
-// the additional digest-keyed code cache, or the legacy
+// checkpoint written at --jobs=8 resumes at --jobs=1. --interp selects the
+// execution engine: decoded micro-op dispatch (the default), the native
+// x86-64 JIT tier compiled from the same micro-ops, or the legacy
 // instruction-at-a-time interpreter; all three are digest-identical, so the
 // flag is a pure throughput switch (--interp=jit on a host without JIT
 // support warns once and runs decoded). --jit-oracle turns on the Indicator
@@ -57,7 +55,7 @@
 // abstract-claim vs concrete-witness diff (indicator #3's view of the case).
 //
 // Unknown flags, malformed numbers, extra positional arguments, unknown
-// --interp/--verdict-cache values, and flags that would be silently ignored
+// --interp values, and flags that would be silently ignored
 // (--checkpoint-every without --checkpoint; --worker-retries, --hang-timeout,
 // --quarantine and --test-crash-* without --supervise) are usage errors: the
 // flag is named on stderr and the exit status is 2.
@@ -126,16 +124,6 @@ double ParseProbability(const char* arg, const char* text) {
   return value;
 }
 
-bool ParseOnOff(const char* arg, const char* text) {
-  if (strcmp(text, "on") == 0) {
-    return true;
-  }
-  if (strcmp(text, "off") != 0) {
-    UsageError(arg, "expected on or off");
-  }
-  return false;
-}
-
 bpf::ExecEngine ParseEngine(const char* arg, const char* text) {
   if (strcmp(text, "decoded") == 0) {
     return bpf::ExecEngine::kDecoded;
@@ -178,8 +166,6 @@ const Flag kFlags[] = {
          UsageError(arg, "need at least one job");
        }
      }},
-    {"--verdict-cache=", nullptr,
-     [](Cli& c, const char* arg, const char* v) { c.options.verdict_cache = ParseOnOff(arg, v); }},
     {"--interp=", nullptr,
      [](Cli& c, const char* arg, const char* v) { c.options.interp_engine = ParseEngine(arg, v); }},
     {"--jit-oracle", nullptr,
@@ -347,23 +333,6 @@ int main(int argc, char** argv) {
   printf("  sanitizer:       %zu mem sites, %zu alu checks, %.2fx footprint\n",
          stats.sanitizer.mem_sites, stats.sanitizer.alu_sites, stats.sanitizer.Footprint());
   printf("  faults injected: %" PRIu64 "\n", stats.fault_injected);
-  if (options.verdict_cache) {
-    printf("  verdict cache:   %" PRIu64 " hits / %" PRIu64 " misses (%.1f%% hit rate)\n",
-           stats.verdict_cache_hits, stats.verdict_cache_misses,
-           100 * stats.VerdictCacheHitRate());
-  }
-  if (options.interp_engine != bpf::ExecEngine::kLegacy) {
-    printf("  decode cache:    %" PRIu64 " hits / %" PRIu64 " misses / %" PRIu64
-           " evictions (%.1f%% hit rate)\n",
-           stats.decode_cache_hits, stats.decode_cache_misses,
-           stats.decode_cache_evictions, 100 * stats.DecodeCacheHitRate());
-  }
-  if (options.interp_engine == bpf::ExecEngine::kJit) {
-    printf("  jit cache:       %" PRIu64 " hits / %" PRIu64 " misses / %" PRIu64
-           " evictions (%.1f%% hit rate)\n",
-           stats.jit_cache_hits, stats.jit_cache_misses, stats.jit_cache_evictions,
-           100 * stats.JitCacheHitRate());
-  }
   if (options.jit_oracle) {
     uint64_t jit_divergences = 0;
     for (const Finding& finding : stats.findings) {

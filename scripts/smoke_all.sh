@@ -4,7 +4,7 @@
 #
 #   1. scripts/smoke_robustness.sh — fault injection + resume digest (ASan).
 #   2. scripts/smoke_parallel.sh   — job-count invariance (TSan).
-#   3. scripts/smoke_interp.sh     — engine parity + decode cache (ASan).
+#   3. scripts/smoke_interp.sh     — engine parity across job counts (ASan).
 #   4. scripts/smoke_supervisor.sh — crash-isolated supervisor: supervised vs
 #      in-process digest equality, forced-crash recovery, poison-case
 #      quarantine + replay, SIGTERM + resume bit-identity (ASan).
@@ -13,8 +13,7 @@
 #      jobs x interp x --supervise legs, plus checkpoint/resume (ASan).
 #   6. scripts/smoke_jit.sh      — JIT execution tier: jit suites under ASan,
 #      the 3x3 {--interp=jit,decoded,legacy} x {jobs=1, jobs=4, --supervise}
-#      digest matrix, jit-cache job invariance, and jit + cross-engine
-#      checkpoint/resume bit-identity.
+#      digest matrix, and jit + cross-engine checkpoint/resume bit-identity.
 #   7. scripts/smoke_conformance.sh — conformance corpus: the suite under
 #      ASan, the vendored corpus campaign digest across {--jobs=1, --jobs=4,
 #      --supervise}, counter-line equality, and checkpoint/resume with the
@@ -29,10 +28,11 @@
 #      label (`ctest -N` count == `ctest -N -L tier1` count) and the suites
 #      this tree considers load-bearing (supervisor digest and counters,
 #      journal, parallel, checkpoint, counter lines, the options-fingerprint
-#      pin, jit, conformance, prune fingerprint) must actually be
-#      discovered, so nothing can silently drop out of the tier-1 gate. The
-#      prune-fingerprint suites (fast path vs plain scan, and the fingerprint
-#      contract) also run here under ASan/UBSan.
+#      pin, jit, conformance, prune fingerprint, checkpoint fuzz) must
+#      actually be discovered, so nothing can silently drop out of the tier-1
+#      gate. The prune-fingerprint suites (fast path vs plain scan, and the
+#      fingerprint contract) and the LoadCheckpoint mutational fuzz suite also
+#      run here under ASan/UBSan.
 #
 # Usage: scripts/smoke_all.sh [asan-build-dir] [tsan-build-dir]
 #        (defaults: build-smoke build-tsan)
@@ -139,21 +139,21 @@ fi
 # lets grep exit at the first match, and under pipefail the SIGPIPE that
 # ctest then takes would read as "suite missing".
 TIER1_LIST="$(ctest --test-dir "$ASAN_DIR" -N -L tier1 2>/dev/null)"
-PRUNE_SUITES="PruneFingerprintTest FingerprintContractTest"
+ASAN_SUITES="PruneFingerprintTest FingerprintContractTest CheckpointFuzzTest"
 for SUITE in SupervisorDigestTest SupervisorCounterTest JournalTest ParallelInvarianceTest \
-        CheckpointTest ExcludedCountersTest FingerprintPinTest JitCacheTest JitEngineTest \
-        ConformanceCorpusTest AsmRoundTripTest $PRUNE_SUITES; do
+        CheckpointTest ExcludedCountersTest FingerprintPinTest JitEngineTest \
+        ConformanceCorpusTest AsmRoundTripTest $ASAN_SUITES; do
     if ! grep -q "$SUITE" <<< "$TIER1_LIST"; then
         echo "SMOKE FAIL: load-bearing suite $SUITE not discovered under the tier1 label"
         exit 1
     fi
 done
 echo "smoke: all $ALL_TESTS discovered tests carry the tier1 label (load-bearing suites present)"
-ctest --test-dir "$ASAN_DIR" -L tier1 -R "^(${PRUNE_SUITES// /|})\\." --output-on-failure >/dev/null || {
-    echo "SMOKE FAIL: prune-fingerprint suites fail under ASan/UBSan"
+ctest --test-dir "$ASAN_DIR" -L tier1 -R "^(${ASAN_SUITES// /|})\\." --output-on-failure >/dev/null || {
+    echo "SMOKE FAIL: prune-fingerprint or checkpoint-fuzz suites fail under ASan/UBSan"
     exit 1
 }
-echo "smoke: prune-fingerprint suites pass under ASan/UBSan"
+echo "smoke: prune-fingerprint and checkpoint-fuzz suites pass under ASan/UBSan"
 
 echo
 echo "smoke_all: PASS"

@@ -5,7 +5,7 @@
 #      under ThreadSanitizer — the epoch-barrier discipline (frozen snapshots
 #      between barriers, coordinator-only merges) must be data-race free.
 #   2. Run the same campaign at --jobs=1, --jobs=2, and --jobs=4 (faults +
-#      confirmation + verdict cache on) and require every campaign digest to
+#      confirmation on) and require every campaign digest to
 #      match: findings, outcome histograms, coverage, and stats must be
 #      bit-identical for any job count.
 #   3. fuzz_campaign --smoke additionally runs its own embedded jobs=1 vs
@@ -34,7 +34,7 @@ for JOBS in 1 2 4; do
     echo "== campaign at --jobs=$JOBS (TSan) =="
     # Every leg runs the one epoch engine, so every digest must match.
     "$CAMPAIGN" "$ITERATIONS" "$SEED" --fault-rate=0.1 --confirm-runs=2 \
-        --verdict-cache=on --jobs="$JOBS" --smoke | tee "$WORK/jobs$JOBS.log"
+        --jobs="$JOBS" --smoke | tee "$WORK/jobs$JOBS.log"
     DIGESTS[$JOBS]="$(grep '^parallel-invariance-digest ' "$WORK/jobs$JOBS.log" | awk '{print $2}')"
 done
 

@@ -3,9 +3,9 @@
 #
 #   1. Build the tree with BVF_ASAN=ON so the fork/pipe/waitpid plumbing and
 #      the journal/checkpoint I/O run under ASan/UBSan.
-#   2. Digest-equality gate: the same campaign (faults + confirmation +
-#      verdict cache) run in-process (--jobs=2) and supervised (--supervise
-#      --jobs=2) must produce bit-identical campaign digests.
+#   2. Digest-equality gate: the same campaign (faults + confirmation) run
+#      in-process (--jobs=2) and supervised (--supervise --jobs=2) must
+#      produce bit-identical campaign digests.
 #   3. Fault-injected leg: re-run supervised with a forced worker crash
 #      (--test-crash-at, SIGKILL mode, once via a marker file). The worker is
 #      reaped and re-forked, the epoch retried — the digest must STILL be
@@ -39,13 +39,13 @@ trap 'rm -rf "$WORK"' EXIT
 echo
 echo "== leg 1: in-process reference (--jobs=2) =="
 "$CAMPAIGN" "$ITERATIONS" "$SEED" --fault-rate=0.1 --confirm-runs=2 \
-    --verdict-cache=on --jobs=2 --smoke | tee "$WORK/inproc.log"
+    --jobs=2 --smoke | tee "$WORK/inproc.log"
 REF="$(grep '^campaign-digest ' "$WORK/inproc.log" | awk '{print $2}')"
 
 echo
 echo "== leg 2: supervised, no faults injected =="
 "$CAMPAIGN" "$ITERATIONS" "$SEED" --fault-rate=0.1 --confirm-runs=2 \
-    --verdict-cache=on --jobs=2 --supervise --smoke | tee "$WORK/sup.log"
+    --jobs=2 --supervise --smoke | tee "$WORK/sup.log"
 SUP="$(grep '^campaign-digest ' "$WORK/sup.log" | awk '{print $2}')"
 if [[ -z "$REF" || "$SUP" != "$REF" ]]; then
     echo "SMOKE FAIL: supervised digest ($SUP) != in-process digest ($REF)"
@@ -55,7 +55,7 @@ fi
 echo
 echo "== leg 3: supervised with a forced SIGKILL worker crash mid-epoch =="
 "$CAMPAIGN" "$ITERATIONS" "$SEED" --fault-rate=0.1 --confirm-runs=2 \
-    --verdict-cache=on --jobs=2 --supervise --smoke \
+    --jobs=2 --supervise --smoke \
     --test-crash-at=50 --test-crash-mode=1 --test-crash-marker="$WORK/crash.marker" \
     | tee "$WORK/crash.log"
 CRASH="$(grep '^campaign-digest ' "$WORK/crash.log" | awk '{print $2}')"
@@ -72,7 +72,7 @@ fi
 echo
 echo "== leg 4: poison case is quarantined and replayable =="
 "$CAMPAIGN" "$ITERATIONS" "$SEED" --fault-rate=0.1 --confirm-runs=2 \
-    --verdict-cache=on --jobs=2 --supervise --worker-retries=2 \
+    --jobs=2 --supervise --worker-retries=2 \
     --test-crash-at=50 --test-crash-mode=0 --quarantine="$WORK/poison.bvfq" \
     | tee "$WORK/poison.log"
 if ! grep -q '1 quarantined, 1 epochs degraded' "$WORK/poison.log"; then
@@ -92,10 +92,10 @@ echo "== leg 5: SIGTERM mid-campaign + resume is bit-identical =="
 # a fresh reference leg below.
 KILL_ITERATIONS=3000
 "$CAMPAIGN" "$KILL_ITERATIONS" "$SEED" --fault-rate=0.1 --confirm-runs=2 \
-    --verdict-cache=on --jobs=2 --smoke > "$WORK/long-ref.log"
+    --jobs=2 --smoke > "$WORK/long-ref.log"
 LONG_REF="$(grep '^campaign-digest ' "$WORK/long-ref.log" | awk '{print $2}')"
 "$CAMPAIGN" "$KILL_ITERATIONS" "$SEED" --fault-rate=0.1 --confirm-runs=2 \
-    --verdict-cache=on --jobs=2 --supervise \
+    --jobs=2 --supervise \
     --checkpoint="$WORK/term.bvfcp" --checkpoint-every=64 \
     --journal="$WORK/term.bvfj" > "$WORK/term.log" 2>&1 &
 PID=$!
@@ -107,7 +107,7 @@ if [[ ! -f "$WORK/term.bvfcp" ]]; then
     exit 1
 fi
 "$CAMPAIGN" "$KILL_ITERATIONS" "$SEED" --fault-rate=0.1 --confirm-runs=2 \
-    --verdict-cache=on --jobs=2 --supervise --resume="$WORK/term.bvfcp" \
+    --jobs=2 --supervise --resume="$WORK/term.bvfcp" \
     --journal="$WORK/term.bvfj" --smoke | tee "$WORK/resumed.log"
 RESUMED="$(grep '^campaign-digest ' "$WORK/resumed.log" | awk '{print $2}')"
 if [[ -z "$LONG_REF" || "$RESUMED" != "$LONG_REF" ]]; then

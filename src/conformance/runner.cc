@@ -69,8 +69,8 @@ CaseResult ConformanceRunner::RunCase(const ConformanceCase& c) const {
       continue;
     }
 
-    // Fresh substrate per engine: no verdict/decode caches, no state carried
-    // across engines, so every run is a from-scratch load + execute.
+    // Fresh substrate per engine: no state carried across engines, so every
+    // run is a from-scratch load + execute.
     bpf::Kernel kernel(config_.version, config_.bugs, config_.arena_size);
     bpf::Bpf bpf(kernel);
     bpf.set_exec_engine(engine);

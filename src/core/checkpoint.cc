@@ -134,8 +134,8 @@ int SaveCheckpoint(const std::string& path, const CampaignCheckpoint& checkpoint
     os << "k " << Escape(key) << "\n";
   }
   // Counters outside the SerializeStats body: resumable state, but not part
-  // of the result digest (cache on/off, a survived worker crash and the like
-  // must stay digest-comparable).
+  // of the result digest (metamorph volume, a survived worker crash and the
+  // like must stay digest-comparable).
   serialize::SerializeExcludedCounters(os, checkpoint.stats);
   os << "crashes " << checkpoint.stats.crash_findings.size() << "\n";
   for (const Finding& finding : checkpoint.stats.crash_findings) {

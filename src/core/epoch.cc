@@ -6,7 +6,6 @@
 #include "src/core/checkpoint.h"
 #include "src/core/serialize.h"
 #include "src/kernel/rng.h"
-#include "src/runtime/bpf_syscall.h"
 
 namespace bvf {
 
@@ -63,82 +62,10 @@ void RunEpochShard(const CampaignOptions& options, Generator& gen, CaseRunner& r
   out.partial.sanitizer = runner.sanitizer().stats().Since(sanitizer_at_start);
 }
 
-CacheBundle::CacheBundle(const CampaignOptions& options, Stores& stores) : stores_(stores) {
-  if (options.verdict_cache) {
-    verdict_.emplace(stores.verdict);
-  }
-  if (options.interp_engine != bpf::ExecEngine::kLegacy) {
-    decode_.emplace(stores.decode);
-  }
-  if (options.interp_engine == bpf::ExecEngine::kJit && bpf::JitAvailable()) {
-    jit_.emplace(stores.jit);
-  }
-}
-
-void CacheBundle::Install(bpf::Bpf& facade, Sanitizer* sanitizer) {
-  facade.set_verdict_cache(verdict_ ? &*verdict_ : nullptr, sanitizer);
-  facade.set_decode_cache(decode_ ? &*decode_ : nullptr);
-  facade.set_jit_cache(jit_ ? &*jit_ : nullptr);
-}
-
-void CacheBundle::set_iteration(uint64_t iteration) {
-  if (verdict_) {
-    verdict_->set_iteration(iteration);
-  }
-  if (decode_) {
-    decode_->set_iteration(iteration);
-  }
-  if (jit_) {
-    jit_->set_iteration(iteration);
-  }
-}
-
-void CacheBundle::Commit(const std::vector<CacheBundle*>& bundles) {
-  if (bundles.empty()) {
-    return;
-  }
-  std::vector<bpf::VerdictCacheShard*> verdict;
-  std::vector<bpf::DecodeCacheShard*> decode;
-  std::vector<bpf::JitCacheShard*> jit;
-  for (CacheBundle* bundle : bundles) {
-    if (bundle->verdict_) {
-      verdict.push_back(&*bundle->verdict_);
-    }
-    if (bundle->decode_) {
-      decode.push_back(&*bundle->decode_);
-    }
-    if (bundle->jit_) {
-      jit.push_back(&*bundle->jit_);
-    }
-  }
-  Stores& stores = bundles.front()->stores_;
-  stores.verdict.CommitShards(verdict);
-  stores.decode.CommitShards(decode);
-  stores.jit.CommitShards(jit);
-}
-
-void CacheBundle::Drain(CampaignStats& partial) {
-  if (verdict_) {
-    partial.verdict_cache_hits += verdict_->TakeHits();
-    partial.verdict_cache_misses += verdict_->TakeMisses();
-  }
-  if (decode_) {
-    partial.decode_cache_hits += decode_->TakeHits();
-    partial.decode_cache_misses += decode_->TakeMisses();
-    partial.decode_cache_evictions += decode_->TakeEvictions();
-  }
-  if (jit_) {
-    partial.jit_cache_hits += jit_->TakeHits();
-    partial.jit_cache_misses += jit_->TakeMisses();
-    partial.jit_cache_evictions += jit_->TakeEvictions();
-  }
-}
-
 namespace {
 
 // Sums the order-independent counters of |partial| into |into| (including the
-// per-epoch sanitizer delta and the cache counters) and clears |partial| for
-// the next epoch.
+// per-epoch sanitizer delta) and clears |partial| for the next epoch.
 void MergeEpochCounters(CampaignStats& into, CampaignStats& partial) {
   into.iterations += partial.iterations;
   into.accepted += partial.accepted;
@@ -166,14 +93,6 @@ void MergeEpochCounters(CampaignStats& into, CampaignStats& partial) {
   into.metamorph_verdict_divergences += partial.metamorph_verdict_divergences;
   into.metamorph_witness_divergences += partial.metamorph_witness_divergences;
   into.metamorph_sanitizer_divergences += partial.metamorph_sanitizer_divergences;
-  into.verdict_cache_hits += partial.verdict_cache_hits;
-  into.verdict_cache_misses += partial.verdict_cache_misses;
-  into.decode_cache_hits += partial.decode_cache_hits;
-  into.decode_cache_misses += partial.decode_cache_misses;
-  into.decode_cache_evictions += partial.decode_cache_evictions;
-  into.jit_cache_hits += partial.jit_cache_hits;
-  into.jit_cache_misses += partial.jit_cache_misses;
-  into.jit_cache_evictions += partial.jit_cache_evictions;
   into.sanitizer.Add(partial.sanitizer);
   partial = CampaignStats{};
 }

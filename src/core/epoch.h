@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -28,13 +27,6 @@
 #include "src/core/fuzzer.h"
 #include "src/core/journal/journal.h"
 #include "src/kernel/coverage.h"
-#include "src/runtime/decoded_prog.h"
-#include "src/runtime/jit_prog.h"
-#include "src/runtime/verdict_cache.h"
-
-namespace bpf {
-class Bpf;
-}  // namespace bpf
 
 namespace bvf {
 
@@ -61,10 +53,9 @@ struct CaseRecord {
 };
 
 struct EpochShardResult {
-  // Order-independent counters for this shard's slice of the epoch, cache
-  // counters included once its caches are committed. The sanitizer field
-  // holds this epoch's *delta* (not a cumulative total), so the merge is a
-  // plain Add and survives a worker process being re-forked.
+  // Order-independent counters for this shard's slice of the epoch. The
+  // sanitizer field holds this epoch's *delta* (not a cumulative total), so
+  // the merge is a plain Add and survives a worker process being re-forked.
   CampaignStats partial;
   std::vector<CaseRecord> records;  // iteration-ascending (the shard strides up)
 };
@@ -92,40 +83,6 @@ void RunEpochShard(const CampaignOptions& options, Generator& gen, CaseRunner& r
                    const std::set<std::string>& frozen_sigs, int index, int jobs,
                    uint64_t start, uint64_t end, EpochShardResult& out,
                    const EpochShardHooks& hooks = {});
-
-// One worker's digest caches: verdict, decode and JIT shards over a set of
-// committed stores. Which caches exist follows from the options alone.
-// Lookups see only committed entries; inserts wait, tagged with their
-// iteration, until Commit merges them in iteration order.
-class CacheBundle {
- public:
-  // The committed stores of one commit domain: the worker threads of an
-  // in-process campaign share one; each supervised worker process owns one.
-  struct Stores {
-    bpf::VerdictCache verdict;
-    bpf::DecodeCache decode;
-    bpf::JitCache jit;
-  };
-
-  CacheBundle(const CampaignOptions& options, Stores& stores);
-
-  // Points a campaign substrate's bpf(2) facade at this bundle's shards.
-  void Install(bpf::Bpf& facade, Sanitizer* sanitizer);
-  // Tags the inserts of the case about to run.
-  void set_iteration(uint64_t iteration);
-
-  // Commits the pending inserts of |bundles|, all over one Stores, in
-  // iteration order. Call while none of them is running a case.
-  static void Commit(const std::vector<CacheBundle*>& bundles);
-  // Moves this bundle's hit, miss and eviction counts into |partial|.
-  void Drain(CampaignStats& partial);
-
- private:
-  Stores& stores_;
-  std::optional<bpf::VerdictCacheShard> verdict_;
-  std::optional<bpf::DecodeCacheShard> decode_;
-  std::optional<bpf::JitCacheShard> jit_;
-};
 
 // Campaign state the coordinator owns. Topologies read it to set up each
 // epoch; the supervised one also files its process accounting and crash

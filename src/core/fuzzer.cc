@@ -135,12 +135,12 @@ void CaseRunner::Teardown() { substrate_.reset(); }
 CaseRunner::Substrate& CaseRunner::EnsureSubstrate() {
   if (!substrate_) {
     substrate_ = std::make_unique<Substrate>(options_);
-    ConfigureSubstrate(*substrate_, &sanitizer_, /*campaign=*/true);
+    ConfigureSubstrate(*substrate_, &sanitizer_);
   }
   return *substrate_;
 }
 
-void CaseRunner::ConfigureSubstrate(Substrate& sub, Sanitizer* sanitizer, bool campaign) {
+void CaseRunner::ConfigureSubstrate(Substrate& sub, Sanitizer* sanitizer) {
   // Every substrate — campaign and confirmation alike — runs the selected
   // engine, so a confirmation re-execution reproduces through the exact same
   // path as the original case (the engines are digest-identical anyway; this
@@ -162,9 +162,6 @@ void CaseRunner::ConfigureSubstrate(Substrate& sub, Sanitizer* sanitizer, bool c
   sub.kernel.arena().set_alloc_budget(options_.arena_budget);
   sub.kernel.arena().set_dirty_reset(options_.dirty_reset);
   sub.bpf.set_exec_limits(options_.limits);
-  if (campaign && caches_ != nullptr) {
-    caches_->Install(sub.bpf, &sanitizer_);
-  }
 }
 
 CaseRunner::DriveResult CaseRunner::DriveCase(Substrate& sub, const FuzzCase& the_case,
@@ -377,9 +374,6 @@ CaseRunner::CaseResult CaseRunner::RunOne(const FuzzCase& the_case, uint64_t ite
         options_.fault, bpf::FaultSeed(options_.seed, iteration));
     sub.kernel.set_fault_injector(injector.get());
   }
-  if (caches_ != nullptr) {
-    caches_->set_iteration(iteration);
-  }
 
   const DriveResult drive = DriveCase(sub, the_case, iteration);
   sub.kernel.set_fault_injector(nullptr);
@@ -452,7 +446,7 @@ bool CaseRunner::ReproduceOnce(const FuzzCase& the_case, uint64_t iteration,
   // they cannot disturb the campaign's substrate or instrumentation stats.
   Substrate sub(options_);
   Sanitizer confirm_sanitizer;
-  ConfigureSubstrate(sub, &confirm_sanitizer, /*campaign=*/false);
+  ConfigureSubstrate(sub, &confirm_sanitizer);
   bpf::FaultInjector injector =
       replay != nullptr ? bpf::FaultInjector::Replay(*replay)
                         : bpf::FaultInjector(bpf::FaultConfig{}, 0);

@@ -32,7 +32,6 @@
 
 namespace bvf {
 
-class CacheBundle;
 class MetamorphOracle;
 
 struct CampaignOptions {
@@ -80,13 +79,9 @@ struct CampaignOptions {
   // for every value ≥ 1.
   int jobs = 1;
   // Iterations per synchronization epoch: the grain at which coverage,
-  // corpus, findings, and the verdict cache merge. Part of the campaign's
-  // semantics (and fingerprint) — changing it changes results; changing
-  // |jobs| does not.
+  // corpus and findings merge. Part of the campaign's semantics (and
+  // fingerprint) — changing it changes results; changing |jobs| does not.
   uint64_t epoch_len = 64;
-  // Digest-keyed verifier-verdict cache (src/runtime/verdict_cache.h).
-  // On/off is invisible in the StatsDigest; only the hit/miss counters move.
-  bool verdict_cache = false;
   // Dirty-tracked arena reset (src/kernel/kasan.h): ResetCaseState rewrites
   // only the pages the case touched instead of the whole arena. Byte-for-byte
   // identical to the full rewind (BVF_PARANOID_RESET cross-checks), so it is
@@ -96,12 +91,9 @@ struct CampaignOptions {
   // JIT tier compiled from the same micro-ops, or the legacy
   // instruction-at-a-time interpreter. Purely a throughput switch — all three
   // engines are digest-identical (tests/interp_parity_test.cc) — so it is
-  // excluded from the options fingerprint. Decoded and jit modes also enable
-  // the digest-keyed DecodedProgram cache (src/runtime/decoded_prog.h); jit
-  // additionally enables the digest-keyed native-code cache
-  // (src/runtime/jit_prog.h). Selecting kJit where the JIT is unavailable
-  // (non-x86-64, W^X mappings denied) downgrades to kDecoded with a one-line
-  // warning.
+  // excluded from the options fingerprint. Selecting kJit where the JIT is
+  // unavailable (non-x86-64, W^X mappings denied) downgrades to kDecoded with
+  // a one-line warning.
   bpf::ExecEngine interp_engine = bpf::ExecEngine::kDecoded;
 
   // -- JIT differential oracle (Indicator #5) --
@@ -217,40 +209,28 @@ struct CampaignStats {
   uint64_t substrate_rebuilds = 0; // teardown + reboot cycles after panics
   uint64_t fault_injected = 0;     // fault-point failures actually injected
 
-  // Verdict-cache accounting (deterministic for any job count, but excluded
-  // from StatsDigest so cache on/off campaigns stay digest-comparable).
-  uint64_t verdict_cache_hits = 0;
-  uint64_t verdict_cache_misses = 0;
-
-  // Decode-cache accounting (decoded engine only). Same digest discipline as
-  // the verdict-cache counters: deterministic for any job count, excluded
-  // from StatsDigest so --interp=decoded|legacy campaigns stay comparable.
+  // Always 0: nothing in the campaign writes them (there is no decode or JIT
+  // cache). Kept because campaignbench's counter table and agreement check
+  // name them.
   uint64_t decode_cache_hits = 0;
   uint64_t decode_cache_misses = 0;
   uint64_t decode_cache_evictions = 0;
-
-  // JIT code-cache accounting (jit engine only). Identical discipline to the
-  // decode-cache counters: deterministic for any job count, excluded from
-  // StatsDigest so --interp=jit|decoded|legacy campaigns stay comparable,
-  // carried across resume by their own checkpoint line.
   uint64_t jit_cache_hits = 0;
-  uint64_t jit_cache_misses = 0;
-  uint64_t jit_cache_evictions = 0;
 
   // Metamorphic-oracle accounting (Indicator #4). The divergence *outcomes*
-  // land in |outcomes| (digest-included); these volume counters follow the
-  // cache-counter discipline — deterministic for any job count, excluded
-  // from StatsDigest, carried across resume by their own checkpoint line.
+  // land in |outcomes| (digest-included); these volume counters are
+  // deterministic for any job count, excluded from StatsDigest, and carried
+  // across resume by their own checkpoint line.
   uint64_t metamorph_bases = 0;     // accepted cases the oracle examined
   uint64_t metamorph_variants = 0;  // variants executed to a witness
   uint64_t metamorph_verdict_divergences = 0;
   uint64_t metamorph_witness_divergences = 0;
   uint64_t metamorph_sanitizer_divergences = 0;
 
-  // Supervisor accounting (SupervisedFuzzer only). Same digest discipline as
-  // the cache counters: these describe the *process* (how many workers died,
-  // how often the supervisor re-forked), not the campaign result, so they are
-  // excluded from StatsDigest and ride their own checkpoint line.
+  // Supervisor accounting (SupervisedFuzzer only). These describe the
+  // *process* (how many workers died, how often the supervisor re-forked),
+  // not the campaign result, so they are excluded from StatsDigest and ride
+  // their own checkpoint line.
   uint64_t worker_crashes = 0;     // workers reaped on a crash signal
   uint64_t worker_hangs = 0;       // workers reaped past the heartbeat deadline
   uint64_t worker_exits = 0;       // workers reaped on an unexpected clean exit
@@ -264,9 +244,8 @@ struct CampaignStats {
 
   // Conformance-prologue accounting (Indicator #6). The mismatch/reject
   // *findings* land in |findings| (digest-included); these volume counters
-  // follow the cache-counter discipline — deterministic for any job count,
-  // excluded from StatsDigest, carried across resume by their own
-  // checkpoint line.
+  // are deterministic for any job count, excluded from StatsDigest, and
+  // carried across resume by their own checkpoint line.
   uint64_t conf_cases = 0;       // corpus cases driven by the prologue
   uint64_t conf_passed = 0;      // pass + expected-reject
   uint64_t conf_mismatches = 0;  // expected-value mismatches (engine bugs)
@@ -299,21 +278,6 @@ struct CampaignStats {
                             : static_cast<double>(insns_alu_jmp) /
                                   static_cast<double>(insns_total);
   }
-  double VerdictCacheHitRate() const {
-    const uint64_t total = verdict_cache_hits + verdict_cache_misses;
-    return total == 0 ? 0.0
-                      : static_cast<double>(verdict_cache_hits) / static_cast<double>(total);
-  }
-  double DecodeCacheHitRate() const {
-    const uint64_t total = decode_cache_hits + decode_cache_misses;
-    return total == 0 ? 0.0
-                      : static_cast<double>(decode_cache_hits) / static_cast<double>(total);
-  }
-  double JitCacheHitRate() const {
-    const uint64_t total = jit_cache_hits + jit_cache_misses;
-    return total == 0 ? 0.0
-                      : static_cast<double>(jit_cache_hits) / static_cast<double>(total);
-  }
   bool FoundBug(KnownBug bug) const;
   // First iteration at which |bug| was observed; 0 when never found.
   uint64_t FoundAtIteration(KnownBug bug) const;
@@ -322,8 +286,7 @@ struct CampaignStats {
 // One simulated machine plus the per-case drive/classify/confirm logic. A
 // CaseRunner is single-owner state: each epoch worker (thread or process)
 // holds its own (substrates are private; the only cross-runner state is the
-// process-global Coverage registry and the epoch-frozen verdict cache, both
-// handled by their own synchronization disciplines).
+// process-global Coverage registry, committed at epoch barriers).
 class CaseRunner {
  public:
   explicit CaseRunner(const CampaignOptions& options);
@@ -362,11 +325,6 @@ class CaseRunner {
                       const bpf::FaultLog& fault_log);
 
   Sanitizer& sanitizer() { return sanitizer_; }
-  // Binds a worker's digest caches (src/core/epoch.h) to this runner's
-  // campaign substrate; call before the first case. Confirmation substrates
-  // stay uncached: confirmation must exercise the real verifier, and its
-  // throwaway loads must not move the campaign's cache counters.
-  void set_caches(CacheBundle* caches) { caches_ = caches; }
 
   // Drops the substrate (end of campaign).
   void Teardown();
@@ -384,7 +342,7 @@ class CaseRunner {
   };
 
   Substrate& EnsureSubstrate();
-  void ConfigureSubstrate(Substrate& sub, Sanitizer* sanitizer, bool campaign);
+  void ConfigureSubstrate(Substrate& sub, Sanitizer* sanitizer);
   // Replays the exact RunOne driver sequence (map setup, test runs, attach,
   // XDP, batched lookups) against |sub| with the case's iteration-derived
   // seeds. Shared by the campaign pass and finding confirmation.
@@ -394,7 +352,6 @@ class CaseRunner {
 
   const CampaignOptions& options_;
   Sanitizer sanitizer_;
-  CacheBundle* caches_ = nullptr;
   std::unique_ptr<Substrate> substrate_;
   std::unique_ptr<MetamorphOracle> metamorph_;  // non-null iff options.metamorph
 };

@@ -16,20 +16,16 @@ using bpf::Coverage;
 namespace {
 
 struct Worker {
-  Worker(Generator& generator, const CampaignOptions& options, CacheBundle::Stores& stores)
-      : gen(generator), caches(options, stores), runner(options) {
-    runner.set_caches(&caches);
-  }
+  Worker(Generator& generator, const CampaignOptions& options)
+      : gen(generator), runner(options) {}
 
   Generator& gen;
-  CacheBundle caches;  // outlives the runner, whose substrate points at it
   CaseRunner runner;
   bpf::CoverageSink sink;
   EpochShardResult out;  // counters + iteration-ordered records, this epoch
 };
 
-// Worker threads over the process-global Coverage registry and one set of
-// committed cache stores. Between barriers the workers read the epoch-frozen
+// Worker threads over the process-global Coverage registry. Between barriers the workers read the epoch-frozen
 // snapshots in the EpochCampaign; only the coordinator writes them, while
 // every worker is parked (the barrier mutex provides the happens-before
 // edges).
@@ -63,8 +59,7 @@ class ThreadTopology : public EpochTopology {
     }
     for (int w = 0; w < jobs_; ++w) {
       Generator& gen = w == 0 ? generator_ : *clones_[static_cast<size_t>(w - 1)];
-      workers_.push_back(std::make_unique<Worker>(gen, campaign.options, stores_));
-      bundles_.push_back(&workers_.back()->caches);
+      workers_.push_back(std::make_unique<Worker>(gen, campaign.options));
     }
     for (int w = 0; w < jobs_; ++w) {
       threads_.emplace_back([this, &campaign, w] { WorkerLoop(campaign, w); });
@@ -85,12 +80,9 @@ class ThreadTopology : public EpochTopology {
       std::unique_lock<std::mutex> lock(mu_);
       cv_done_.wait(lock, [&] { return done_count_ == jobs_; });
     }
-    // Commit coverage and the caches (inserts in iteration order, so the
-    // cache counters are job-count invariant) while the workers are parked.
-    CacheBundle::Commit(bundles_);
+    // Commit coverage while the workers are parked.
     for (std::unique_ptr<Worker>& worker : workers_) {
       Coverage::Get().Commit(worker->sink);
-      worker->caches.Drain(worker->out.partial);
       results.push_back(&worker->out);
     }
     return true;
@@ -141,9 +133,7 @@ class ThreadTopology : public EpochTopology {
   Generator& generator_;
   int jobs_ = 1;
   std::vector<std::unique_ptr<Generator>> clones_;
-  CacheBundle::Stores stores_;
   std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<CacheBundle*> bundles_;
 
   std::mutex mu_;  // guards the epoch hand-off fields below
   std::condition_variable cv_work_;

@@ -1,7 +1,7 @@
 // The in-process campaign engine (DESIGN.md §9): the epoch coordinator of
 // src/core/epoch.h over worker threads that share the process-global
-// Coverage registry and one set of committed caches. jobs=1 (the default)
-// runs one worker thread; more jobs shard the same work across threads.
+// Coverage registry. jobs=1 (the default) runs one worker thread; more jobs
+// shard the same work across threads.
 //
 // Every case draws its randomness from a per-iteration seed
 // (CaseSeed(campaign_seed, i)), iterations are partitioned across workers in

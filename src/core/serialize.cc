@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <initializer_list>
 #include <sstream>
+#include <utility>
 
 namespace bvf {
 namespace serialize {
@@ -248,11 +249,6 @@ void ReadCounters(Reader& reader, const std::string& tag,
 }  // namespace
 
 void SerializeExcludedCounters(std::ostream& os, const CampaignStats& stats) {
-  os << "vcache " << stats.verdict_cache_hits << " " << stats.verdict_cache_misses << "\n";
-  os << "dcache " << stats.decode_cache_hits << " " << stats.decode_cache_misses << " "
-     << stats.decode_cache_evictions << "\n";
-  os << "jcache " << stats.jit_cache_hits << " " << stats.jit_cache_misses << " "
-     << stats.jit_cache_evictions << "\n";
   os << "mmorph " << stats.metamorph_bases << " " << stats.metamorph_variants << " "
      << stats.metamorph_verdict_divergences << " " << stats.metamorph_witness_divergences
      << " " << stats.metamorph_sanitizer_divergences << "\n";
@@ -265,20 +261,15 @@ void SerializeExcludedCounters(std::ostream& os, const CampaignStats& stats) {
 }
 
 void ParseExcludedCounters(Reader& reader, CampaignStats* stats) {
-  ReadCounters(reader, "vcache", {&stats->verdict_cache_hits, &stats->verdict_cache_misses});
-  // Optional and ignored: the removed canonical verdict-cache level's
-  // counters, present in checkpoints written before its removal.
-  if (reader.PeekTag() == "ccache") {
-    reader.Fields("ccache", 2);
-  }
-  ReadCounters(reader, "dcache",
-               {&stats->decode_cache_hits, &stats->decode_cache_misses,
-                &stats->decode_cache_evictions});
-  // Optional (checkpoints predating the JIT tier lack it).
-  if (reader.PeekTag() == "jcache") {
-    ReadCounters(reader, "jcache",
-                 {&stats->jit_cache_hits, &stats->jit_cache_misses,
-                  &stats->jit_cache_evictions});
+  // Optional and ignored: the counters of the removed digest caches
+  // (verdict, its canonical level, decode, JIT), present in checkpoints and
+  // worker frames written before their removal.
+  static const std::pair<const char*, size_t> kRemovedCacheLines[] = {
+      {"vcache", 2}, {"ccache", 2}, {"dcache", 3}, {"jcache", 3}};
+  for (const auto& [tag, fields] : kRemovedCacheLines) {
+    if (reader.PeekTag() == tag) {
+      reader.Fields(tag, fields);
+    }
   }
   ReadCounters(reader, "mmorph",
                {&stats->metamorph_bases, &stats->metamorph_variants,

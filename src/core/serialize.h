@@ -66,18 +66,18 @@ class Reader {
 
 // Canonical stats body shared by checkpoint files, StatsDigest, and the
 // supervisor's epoch-result frames. Excludes stats.options (covered by the
-// fingerprint), the digest-excluded counters (caches, metamorph volume,
-// supervisor accounting — each rides its own checkpoint line), and the
-// resume bookkeeping fields.
+// fingerprint), the digest-excluded counters (metamorph volume, supervisor
+// accounting, conformance prologue — each rides its own checkpoint line),
+// and the resume bookkeeping fields.
 void SerializeStats(std::ostream& os, const CampaignStats& stats);
 void ParseStats(Reader& reader, CampaignStats* stats);
 
-// The digest-excluded counters, one tagged line per group: vcache, dcache,
-// jcache (cache hits/misses/evictions), mmorph (metamorph volume), supv
-// (supervisor accounting), conf (conformance prologue). Checkpoint files and
-// the supervisor's epoch-result frames both carry them this way. The parser
-// also accepts older checkpoints: a ccache line (skipped) and missing jcache
-// or conf lines.
+// The digest-excluded counters, one tagged line per group: mmorph (metamorph
+// volume), supv (supervisor accounting), conf (conformance prologue).
+// Checkpoint files and the supervisor's epoch-result frames both carry them
+// this way. The parser also accepts older checkpoints: the removed caches'
+// vcache, ccache, dcache and jcache lines (each optional and skipped) and a
+// missing conf line.
 void SerializeExcludedCounters(std::ostream& os, const CampaignStats& stats);
 void ParseExcludedCounters(Reader& reader, CampaignStats* stats);
 

@@ -183,7 +183,7 @@ class ProcessTopology : public EpochTopology {
     cov_set_.clear();
     cov_vec_.clear();
     for (const std::string& key : keys) {
-      AddCoverageKey(key);
+      AddCoverageKey(bpf::Coverage::StableKey(key));  // older checkpoints: absolute keys
     }
   }
   size_t CoverageCount() const override { return cov_set_.size(); }

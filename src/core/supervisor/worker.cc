@@ -120,14 +120,7 @@ int RunWorkerProcess(Generator& generator, const CampaignOptions& options, int c
   bpf::CoverageSink sink;
   Coverage::InstallThreadSink(&sink);
 
-  // Process-private caches, committed at the end of each epoch shard: the
-  // worker sees what it committed in earlier epochs, as a one-job in-process
-  // campaign does. A hit is digest-invisible by construction, so sharing
-  // them across processes would buy determinism nothing.
-  CacheBundle::Stores stores;
-  CacheBundle caches(options, stores);
   CaseRunner runner(options);
-  runner.set_caches(&caches);
 
   std::vector<FuzzCase> corpus;
   std::set<std::string> sigs;
@@ -188,8 +181,6 @@ int RunWorkerProcess(Generator& generator, const CampaignOptions& options, int c
     EpochShardResult out;
     RunEpochShard(options, generator, runner, sink, corpus, sigs, cmd.index, cmd.jobs,
                   cmd.start, cmd.end, out, hooks);
-    CacheBundle::Commit({&caches});
-    caches.Drain(out.partial);
 
     // Ship the shard result. Coverage travels as stable keys: site ids are
     // registration-order and differ across processes.

@@ -2,8 +2,26 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <string_view>
 
 namespace bpf {
+
+namespace {
+
+// Offset of the project-relative part of a source path (or of a key that
+// starts with one): the last "src/" component onward, so a site's key is the
+// same whatever directory the build was checked out in. Paths without such a
+// component (ad-hoc sites registered by tests) are kept whole.
+size_t ProjectPathStart(std::string_view path) {
+  const size_t slash_src = path.rfind("/src/");
+  return slash_src == std::string_view::npos ? 0 : slash_src + 1;
+}
+
+}  // namespace
+
+std::string Coverage::StableKey(const std::string& key) {
+  return key.substr(ProjectPathStart(key));
+}
 
 constinit thread_local CoverageSink* Coverage::tls_sink_ = nullptr;
 
@@ -63,6 +81,7 @@ int Coverage::RegisterSite(const char* file, int line) {
 }
 
 int Coverage::RegisterGroup(const char* file, int line, int count) {
+  file += ProjectPathStart(file);  // a suffix of a string literal outlives the site
   std::lock_guard<std::mutex> lock(mu_);
   const size_t base = sites_.size();
   if (base + static_cast<size_t>(count) > kMaxSites) {
@@ -126,8 +145,13 @@ void Coverage::RestoreHitKeys(const std::vector<std::string>& keys) {
   // Every distinct restored key is part of the campaign's covered set and
   // counts immediately — including keys for sites this process has not
   // registered yet (those stay pending and are materialized, without
-  // recounting, the moment their code first runs).
-  std::set<std::string> wanted(keys.begin(), keys.end());
+  // recounting, the moment their code first runs). Keys written by builds in
+  // another checkout, or before keys were made checkout-independent, carry
+  // an absolute path prefix; StableKey drops it.
+  std::set<std::string> wanted;
+  for (const std::string& key : keys) {
+    wanted.insert(StableKey(key));
+  }
   size_t restored = 0;
   for (size_t i = 0; i < sites_.size() && !wanted.empty(); ++i) {
     if (wanted.erase(SiteKey(sites_[i])) > 0 &&

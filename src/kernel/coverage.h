@@ -148,13 +148,19 @@ class Coverage {
   size_t Commit(CoverageSink& sink);
 
   // Checkpoint support. Hit sites serialize as stable "file:line:idx" keys
-  // (idx = position within a RegisterGroup block, 0 for plain sites), so a
-  // restored campaign's hit set is independent of registration order. Keys
-  // naming sites that are not registered yet (site registration is lazy —
-  // a static local per call site) are kept pending and applied the moment
-  // the site registers, without counting as new coverage.
+  // (idx = position within a RegisterGroup block, 0 for plain sites; file is
+  // the source path from its last "src/" component on), so a restored
+  // campaign's hit set is independent of registration order and of the
+  // directory the binary was built in. RestoreHitKeys strips the absolute
+  // prefix older keys carry. Keys naming sites that are not registered yet
+  // (site registration is lazy — a static local per call site) are kept
+  // pending and applied the moment the site registers, without counting as
+  // new coverage.
   std::vector<std::string> SerializeHitKeys() const;
   void RestoreHitKeys(const std::vector<std::string>& keys);
+  // |key| with any absolute prefix before its last "src/" component dropped:
+  // the form every key this build produces has.
+  static std::string StableKey(const std::string& key);
 
   // Stable keys for a list of site ids (a sink's epoch delta). The supervised
   // campaign's workers ship their epoch coverage to the coordinator as keys —

@@ -8,8 +8,6 @@
 
 #include "src/ebpf/insn.h"
 #include "src/runtime/decoded_prog.h"
-#include "src/runtime/verdict_cache.h"
-#include "src/sanitizer/instrument.h"
 
 namespace bpf {
 
@@ -117,47 +115,7 @@ int Bpf::ProgLoad(const Program& prog, VerifierResult* result_out) {
   env.instrument = instrument_;
   env.collect_state_claims = static_cast<bool>(exec_observer_);
 
-  // Verdict cache: VerifyProgram is effect-free on the kernel substrate (its
-  // env exposes no allocator or report sink), so a committed digest match can
-  // reuse the stored result wholesale. The sanitizer-stat delta the original
-  // verification produced is replayed; verifier branch coverage needs no
-  // replay because a hit implies the same program was verified in an earlier
-  // sync epoch, so its sites are already in the committed global set.
-  // The decode and JIT caches share the verdict digest: identical key implies
-  // the same verifier output, hence the same rewritten program and aux, hence
-  // the same lowering and the same machine code — so one key computation
-  // serves all three caches.
-  const bool want_decode = engine_ != ExecEngine::kLegacy;
-  const bool want_decode_cache = want_decode && decode_cache_ != nullptr;
-  const bool want_jit = engine_ == ExecEngine::kJit && JitAvailable();
-  const bool want_jit_cache = want_jit && jit_cache_ != nullptr;
-  VerdictKey key{};
-  if (verdict_cache_ != nullptr || want_decode_cache || want_jit_cache) {
-    key = MakeVerdictKey(prog, kernel_, static_cast<bool>(instrument_),
-                         env.collect_state_claims);
-  }
-
-  VerifierResult result;
-  if (verdict_cache_ != nullptr) {
-    if (const CachedVerdict* cached = verdict_cache_->Lookup(key)) {
-      result = cached->result;
-      if (cache_sanitizer_ != nullptr) {
-        cache_sanitizer_->Credit(cached->san_delta);
-      }
-    } else {
-      const bvf::SanitizerStats before =
-          cache_sanitizer_ != nullptr ? cache_sanitizer_->stats() : bvf::SanitizerStats{};
-      result = VerifyProgram(prog, env);
-      CachedVerdict fresh;
-      fresh.result = result;
-      if (cache_sanitizer_ != nullptr) {
-        fresh.san_delta = cache_sanitizer_->stats().Since(before);
-      }
-      verdict_cache_->Insert(key, std::move(fresh));
-    }
-  } else {
-    result = VerifyProgram(prog, env);
-  }
+  VerifierResult result = VerifyProgram(prog, env);
   const int err = result.err;
   if (result_out != nullptr) {
     *result_out = result;
@@ -197,34 +155,13 @@ int Bpf::ProgLoad(const Program& prog, VerifierResult* result_out) {
   loaded->uses_printk_helper = result.uses_printk_helper;
   loaded->uses_signal_helper = result.uses_signal_helper;
   loaded->uses_irqwork_helper = result.uses_irqwork_helper;
-  if (want_decode) {
-    if (want_decode_cache) {
-      loaded->decoded = decode_cache_->Lookup(key);
-      if (loaded->decoded == nullptr) {
-        std::shared_ptr<const DecodedProgram> fresh =
-            DecodeProgram(loaded->prog, loaded->aux);
-        loaded->decoded = fresh;
-        decode_cache_->Insert(key, std::move(fresh));
-      }
-    } else {
-      loaded->decoded = DecodeProgram(loaded->prog, loaded->aux);
-    }
+  if (engine_ != ExecEngine::kLegacy) {
+    loaded->decoded = DecodeProgram(loaded->prog, loaded->aux);
   }
-  if (want_jit) {
-    if (want_jit_cache) {
-      loaded->jit = jit_cache_->Lookup(key);
-      if (loaded->jit == nullptr) {
-        std::shared_ptr<const JitProgram> fresh = CompileJit(*loaded->decoded);
-        if (fresh != nullptr) {
-          loaded->jit = fresh;
-          jit_cache_->Insert(key, std::move(fresh));
-        }
-        // Compile failure (code mapping refused mid-run) is not cached: the
-        // program simply runs on the decoded engine.
-      }
-    } else {
-      loaded->jit = CompileJit(*loaded->decoded);
-    }
+  if (engine_ == ExecEngine::kJit && JitAvailable()) {
+    // A compile failure (code mapping refused mid-run) leaves jit null: the
+    // program simply runs on the decoded engine.
+    loaded->jit = CompileJit(*loaded->decoded);
   }
   const int fd = loaded->id;
   progs_.push_back(std::move(loaded));

@@ -18,13 +18,7 @@
 #include "src/runtime/kernel.h"
 #include "src/verifier/verifier.h"
 
-namespace bvf {
-class Sanitizer;
-}  // namespace bvf
-
 namespace bpf {
-
-class VerdictCacheShard;
 
 class Bpf {
  public:
@@ -50,15 +44,6 @@ class Bpf {
   void set_exec_limits(const ExecLimits& limits) { exec_limits_ = limits; }
   const ExecLimits& exec_limits() const { return exec_limits_; }
 
-  // Installs a digest-keyed verifier-verdict cache shard: ProgLoad skips
-  // VerifyProgram when the program's digest is committed, replaying the
-  // original verification's sanitizer-stat delta into |sanitizer| (may be
-  // null when instrumentation is off). nullptr disables caching.
-  void set_verdict_cache(VerdictCacheShard* shard, bvf::Sanitizer* sanitizer) {
-    verdict_cache_ = shard;
-    cache_sanitizer_ = sanitizer;
-  }
-
   // Selects the execution tier for programs loaded through this facade:
   // kDecoded (the default) lowers the verified, rewritten program into
   // micro-ops once at load; kJit additionally compiles the micro-ops to
@@ -75,18 +60,6 @@ class Bpf {
     set_exec_engine(on ? ExecEngine::kDecoded : ExecEngine::kLegacy);
   }
   bool decoded_exec() const { return engine_ != ExecEngine::kLegacy; }
-
-  // Installs a digest-keyed decode cache shard: ProgLoad reuses a committed
-  // DecodedProgram instead of re-lowering when the program digest (the same
-  // key the verdict cache uses) is already committed. nullptr decodes fresh
-  // on every load. Only consulted while decoded execution is on.
-  void set_decode_cache(DecodeCacheShard* shard) { decode_cache_ = shard; }
-
-  // Installs a digest-keyed JIT code cache shard (same key and commit
-  // discipline as the decode cache): ProgLoad reuses a committed JitProgram
-  // instead of recompiling. nullptr compiles fresh on every load. Only
-  // consulted while the JIT tier is selected and available.
-  void set_jit_cache(JitCacheShard* shard) { jit_cache_ = shard; }
 
   // Case-boundary reset for substrate reuse: unloads every program, resets fd
   // assignment and the XDP dispatcher, and rewinds the kernel substrate
@@ -147,10 +120,6 @@ class Bpf {
   Kernel& kernel_;
   Interpreter interp_;
   ExecLimits exec_limits_;
-  VerdictCacheShard* verdict_cache_ = nullptr;
-  bvf::Sanitizer* cache_sanitizer_ = nullptr;
-  DecodeCacheShard* decode_cache_ = nullptr;
-  JitCacheShard* jit_cache_ = nullptr;
   ExecEngine engine_ = ExecEngine::kDecoded;
   std::function<void(Program&, std::vector<InsnAux>&)> instrument_;
   ExecObserver exec_observer_;

@@ -34,15 +34,8 @@
 // stats, and fault-injection points are bit-identical — see
 // tests/interp_parity_test.cc for the differential gate.
 //
-// DecodedProgram objects are cached under the same 128-bit digest the
-// VerdictCache keys on (identical key => identical verifier output =>
-// identical rewritten program and aux => identical decode). The cache is an
-// instantiation of the shared digest-cache discipline
-// (src/runtime/digest_cache.h): epoch-shard commits keep hit/miss/evict
-// counters job-count-invariant under the parallel engine, and entries are
-// evicted FIFO in commit order, which is itself deterministic. LoadedProgram
-// holds a shared_ptr, so eviction or case reset never invalidates a program
-// that is still loaded (prog-fd close simply drops the last reference).
+// DecodeProgram runs once per accepted load; LoadedProgram holds the result
+// through a shared_ptr so the JIT tier and case reset never outlive it.
 
 #ifndef SRC_RUNTIME_DECODED_PROG_H_
 #define SRC_RUNTIME_DECODED_PROG_H_
@@ -51,9 +44,8 @@
 #include <memory>
 #include <vector>
 
-#include "src/runtime/digest_cache.h"
 #include "src/runtime/exec_context.h"
-#include "src/runtime/verdict_cache.h"
+#include "src/verifier/verifier.h"
 
 namespace bpf {
 
@@ -126,12 +118,6 @@ std::shared_ptr<const DecodedProgram> DecodeProgram(const Program& prog,
 // Interpreter::RunLegacy on the program it was decoded from.
 ExecResult RunDecoded(Kernel& kernel, const DecodedProgram& decoded, ExecContext& ctx,
                       const ExecLimits& limits);
-
-// Decoded programs follow the shared digest-cache discipline
-// (src/runtime/digest_cache.h); the names are kept so call sites read as
-// "the decode cache".
-using DecodeCache = DigestCache<const DecodedProgram>;
-using DecodeCacheShard = DigestCacheShard<const DecodedProgram>;
 
 }  // namespace bpf
 

@@ -118,14 +118,12 @@ struct LoadedProgram {
 
   // Micro-op lowering of |prog| (src/runtime/decoded_prog.h), produced at
   // load time when decoded execution is enabled; null runs the legacy
-  // instruction-at-a-time interpreter. Shared with the decode cache, so an
-  // evicted entry stays alive for as long as any loaded program uses it.
+  // instruction-at-a-time interpreter.
   std::shared_ptr<const DecodedProgram> decoded;
 
   // Native x86-64 compilation of |decoded| (src/runtime/jit_prog.h), produced
   // at load time when the JIT tier is selected and available; null falls back
-  // to the decoded engine. Shared with the JIT code cache under the same
-  // eviction-survival rule as |decoded|.
+  // to the decoded engine.
   std::shared_ptr<const JitProgram> jit;
 
   // Behavioural summary from verification (attach policy input).

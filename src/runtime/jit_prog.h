@@ -19,10 +19,8 @@
 // Code blobs are W^X: emitted into an RW mmap, then flipped to RX with
 // mprotect before first use. Host pointers that vary per substrate (arena
 // memory, shadow, page-dirty table) are never baked into code — they travel
-// in the per-invocation JitRt block — so one cached blob is safely shared
-// across substrates, rebuilds, and forked supervisor workers, keyed by the
-// same verdict digest the decode cache uses and following the identical
-// epoch-shard commit discipline (src/runtime/digest_cache.h).
+// in the per-invocation JitRt block — so a blob is position-independent of
+// the substrate that runs it.
 //
 // On non-x86-64 hosts, or when the W^X allocation fails, JitAvailable() is
 // false / CompileJit returns null and callers fall back to the decoded
@@ -39,7 +37,6 @@
 #include <vector>
 
 #include "src/runtime/decoded_prog.h"
-#include "src/runtime/digest_cache.h"
 #include "src/runtime/exec_context.h"
 
 namespace bpf {
@@ -127,11 +124,6 @@ std::shared_ptr<const JitProgram> CompileJit(const DecodedProgram& decoded);
 // DecodedProgram it was compiled from.
 ExecResult RunJit(Kernel& kernel, const JitProgram& jit, ExecContext& ctx,
                   const ExecLimits& limits);
-
-// JIT code blobs follow the shared digest-cache discipline
-// (src/runtime/digest_cache.h), exactly like the decode cache.
-using JitCache = DigestCache<const JitProgram>;
-using JitCacheShard = DigestCacheShard<const JitProgram>;
 
 // ---- Test hooks ----
 

@@ -1,7 +1,5 @@
 #include "src/runtime/verdict_cache.h"
 
-#include <algorithm>
-
 #include "src/runtime/kernel.h"
 
 namespace bpf {
@@ -75,30 +73,6 @@ VerdictKey MakeVerdictKey(const Program& prog, Kernel& kernel, bool instrumented
     d.U32(map->def().max_entries);
   }
   return VerdictKey{d.lo, d.hi};
-}
-
-void VerdictCache::CommitShards(const std::vector<VerdictCacheShard*>& shards) {
-  // Gather (iteration-ordered) so the max_entries cutoff — and therefore the
-  // committed set every later epoch looks up against — is independent of how
-  // iterations were sharded across workers.
-  std::vector<VerdictCacheShard::Pending*> merged;
-  for (VerdictCacheShard* shard : shards) {
-    for (auto& pending : shard->pending_) {
-      merged.push_back(&pending);
-    }
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const VerdictCacheShard::Pending* a, const VerdictCacheShard::Pending* b) {
-              return a->iteration < b->iteration;
-            });
-  for (VerdictCacheShard::Pending* pending : merged) {
-    if (committed_.find(pending->key) == committed_.end()) {
-      CommitOne(pending->key, std::move(pending->verdict));
-    }
-  }
-  for (VerdictCacheShard* shard : shards) {
-    shard->pending_.clear();
-  }
 }
 
 }  // namespace bpf

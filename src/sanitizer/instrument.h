@@ -50,8 +50,7 @@ struct SanitizerStats {
                                    static_cast<double>(insns_before);
   }
 
-  // Counter-wise accumulation (parallel-campaign merge; verdict-cache hit
-  // crediting).
+  // Counter-wise accumulation (parallel-campaign merge).
   void Add(const SanitizerStats& other) {
     programs += other.programs;
     insns_before += other.insns_before;
@@ -96,9 +95,6 @@ class Sanitizer {
   void ResetStats() { stats_ = SanitizerStats{}; }
   // Campaign resume: reinstate counters saved in a checkpoint.
   void RestoreStats(const SanitizerStats& stats) { stats_ = stats; }
-  // Verdict-cache hit: account the instrumentation work the original
-  // verification of this program performed.
-  void Credit(const SanitizerStats& delta) { stats_.Add(delta); }
 
  private:
   SanitizerOptions options_;

@@ -2,7 +2,7 @@
 // structured generator's output for 32 fixed seeds (tests/data/golden/).
 //
 // The generator's byte stream is campaign semantics: fingerprints, digests,
-// verdict-cache keys, and the metamorphic oracle's variant derivation all key
+// program digests, and the metamorphic oracle's variant derivation all key
 // off the exact instruction bytes. Any change to generation — even a
 // refactor that "only" reorders RNG draws — shifts every downstream result,
 // so it must show up here as an explicit, reviewed snapshot diff.

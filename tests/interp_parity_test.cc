@@ -5,10 +5,9 @@
 // (the legacy instruction-at-a-time interpreter, the decoded micro-op engine,
 // and the x86-64 JIT tier), for handwritten edge programs, injected-bug
 // repros, generated program sweeps, and full jobs=1/jobs=2 campaigns. Also
-// locks down the decode and JIT caches' determinism (job-count-invariant
-// hit/miss/evict counters, FIFO eviction, the shared_ptr lifetime rule), the
-// JIT's graceful degradation to decoded, and the JIT differential oracle
-// (indicator #5) catching a deliberately injected miscompile.
+// locks down the JIT's graceful degradation to decoded and the JIT
+// differential oracle (indicator #5) catching a deliberately injected
+// miscompile.
 
 #include <gtest/gtest.h>
 
@@ -24,7 +23,6 @@
 #include "src/runtime/bpf_syscall.h"
 #include "src/runtime/decoded_prog.h"
 #include "src/runtime/jit_prog.h"
-#include "src/runtime/verdict_cache.h"
 #include "src/sanitizer/asan_funcs.h"
 #include "src/sanitizer/instrument.h"
 
@@ -389,15 +387,6 @@ TEST(InterpParityTest, SerialCampaignDigestIdenticalAcrossEngines) {
   EXPECT_EQ(jit.findings.size(), decoded.findings.size());
   EXPECT_EQ(legacy.sanitizer.mem_sites, decoded.sanitizer.mem_sites);
   EXPECT_EQ(jit.sanitizer.mem_sites, decoded.sanitizer.mem_sites);
-  // Only the decoded and jit runs exercise the decode cache; only the jit
-  // run (on a jit-capable host) exercises the jit cache.
-  EXPECT_EQ(legacy.decode_cache_hits + legacy.decode_cache_misses, 0u);
-  EXPECT_GT(decoded.decode_cache_misses, 0u);
-  EXPECT_GT(jit.decode_cache_misses, 0u);
-  EXPECT_EQ(decoded.jit_cache_hits + decoded.jit_cache_misses, 0u);
-  if (bpf::JitAvailable()) {
-    EXPECT_GT(jit.jit_cache_misses, 0u);
-  }
 }
 
 TEST(InterpParityTest, ParallelCampaignDigestIdenticalAcrossEngines) {
@@ -427,256 +416,6 @@ TEST(InterpParityTest, SanitizeOffCampaignAlsoDigestIdentical) {
   EXPECT_EQ(StatsDigest(jit), StatsDigest(decoded));
 }
 
-// ---- Decode cache determinism ----
-
-TEST(DecodeCacheTest, CountersAreJobCountInvariant) {
-  CampaignOptions options = SmallCampaign();
-  options.jobs = 1;
-  const CampaignStats one = RunParallel(options);
-  options.jobs = 3;
-  const CampaignStats three = RunParallel(options);
-  EXPECT_EQ(StatsDigest(one), StatsDigest(three));
-  EXPECT_EQ(one.decode_cache_hits, three.decode_cache_hits);
-  EXPECT_EQ(one.decode_cache_misses, three.decode_cache_misses);
-  EXPECT_EQ(one.decode_cache_evictions, three.decode_cache_evictions);
-}
-
-TEST(DecodeCacheTest, CountersSurviveCheckpointResume) {
-  const std::string path = std::string(::testing::TempDir()) + "/dcache_resume.ckpt";
-  CampaignOptions options = SmallCampaign();
-  options.jobs = 2;
-
-  const CampaignStats full = RunParallel(options);
-
-  CampaignOptions first_leg = options;
-  first_leg.checkpoint_path = path;
-  first_leg.stop_after = 96;
-  RunParallel(first_leg);
-
-  CampaignOptions second_leg = options;
-  second_leg.resume_path = path;
-  const CampaignStats resumed = RunParallel(second_leg);
-  ASSERT_TRUE(resumed.resume_error.empty()) << resumed.resume_error;
-  EXPECT_EQ(StatsDigest(resumed), StatsDigest(full));
-  // The decode cache itself restarts empty after resume, so the second leg
-  // re-misses programs the first leg had cached: totals are >= the
-  // uninterrupted run's, and hits+misses (loads) stay conserved.
-  EXPECT_EQ(resumed.decode_cache_hits + resumed.decode_cache_misses,
-            full.decode_cache_hits + full.decode_cache_misses);
-  EXPECT_GE(resumed.decode_cache_misses, full.decode_cache_misses);
-  std::remove(path.c_str());
-}
-
-TEST(DecodeCacheTest, FifoEvictionIsDeterministicAndBounded) {
-  bpf::DecodeCache cache(/*max_entries=*/2);
-  bpf::DecodeCacheShard shard(cache);
-  const auto decoded = std::make_shared<const bpf::DecodedProgram>();
-  const bpf::VerdictKey a{1, 1};
-  const bpf::VerdictKey b{2, 2};
-  const bpf::VerdictKey c{3, 3};
-  shard.Insert(a, decoded);
-  cache.CommitShards({&shard});
-  shard.Insert(b, decoded);
-  cache.CommitShards({&shard});
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.evictions(), 0u);
-  shard.Insert(c, decoded);
-  cache.CommitShards({&shard});  // evicts a (oldest commit)
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_EQ(cache.Lookup(a), nullptr);
-  EXPECT_NE(cache.Lookup(b), nullptr);
-  EXPECT_NE(cache.Lookup(c), nullptr);
-}
-
-TEST(DecodeCacheTest, EvictedEntryStillRunsWhileLoaded) {
-  // A program loaded from the cache holds a shared_ptr; evicting its cache
-  // entry must not invalidate the running program.
-  Kernel kernel(KernelVersion::kBpfNext, BugConfig::None());
-  bpf::Bpf facade(kernel);
-  bpf::DecodeCache cache(/*max_entries=*/1);
-  bpf::DecodeCacheShard shard(cache);
-  facade.set_decode_cache(&shard);
-
-  ProgramBuilder first;
-  first.RetImm(41);
-  const int fd = facade.ProgLoad(first.Build());
-  ASSERT_GT(fd, 0);
-  cache.CommitShards({&shard});
-
-  ProgramBuilder second;
-  second.RetImm(42);
-  const int fd2 = facade.ProgLoad(second.Build());
-  ASSERT_GT(fd2, 0);
-  cache.CommitShards({&shard});  // evicts the first entry
-  EXPECT_EQ(cache.evictions(), 1u);
-
-  EXPECT_EQ(facade.ProgTestRun(fd).r0, 41u);
-  EXPECT_EQ(facade.ProgTestRun(fd2).r0, 42u);
-}
-
-TEST(DecodeCacheTest, CacheHitProducesIdenticalExecution) {
-  Kernel kernel(KernelVersion::kBpfNext, BugConfig::None());
-  bpf::Bpf facade(kernel);
-  bpf::DecodeCache cache;
-  bpf::DecodeCacheShard shard(cache);
-  facade.set_decode_cache(&shard);
-
-  ProgramBuilder b;
-  b.Mov(kR6, 5);
-  b.Mov(kR0, 0);
-  b.Alu(bpf::kAluAdd, kR0, kR6);
-  b.Alu(bpf::kAluSub, kR6, 1);
-  b.JmpIf(bpf::kJmpJne, kR6, 0, -3);
-  b.Ret();
-  const Program prog = b.Build();
-
-  const int miss_fd = facade.ProgLoad(prog);
-  ASSERT_GT(miss_fd, 0);
-  cache.CommitShards({&shard});
-  const int hit_fd = facade.ProgLoad(prog);
-  ASSERT_GT(hit_fd, 0);
-  EXPECT_EQ(shard.TakeMisses(), 1u);
-  EXPECT_EQ(shard.TakeHits(), 1u);
-  // Both fds share one DecodedProgram; executions are interchangeable.
-  const bpf::ExecResult a = facade.ProgTestRun(miss_fd);
-  const bpf::ExecResult h = facade.ProgTestRun(hit_fd);
-  EXPECT_EQ(a.r0, h.r0);
-  EXPECT_EQ(a.insns_executed, h.insns_executed);
-  EXPECT_EQ(facade.FindProg(miss_fd)->decoded.get(), facade.FindProg(hit_fd)->decoded.get());
-}
-
-// ---- JIT code cache determinism (same discipline as the decode cache) ----
-
-TEST(JitCacheTest, CountersAreJobCountInvariant) {
-  CampaignOptions options = SmallCampaign();
-  options.interp_engine = bpf::ExecEngine::kJit;
-  options.jobs = 1;
-  const CampaignStats one = RunParallel(options);
-  options.jobs = 3;
-  const CampaignStats three = RunParallel(options);
-  EXPECT_EQ(StatsDigest(one), StatsDigest(three));
-  EXPECT_EQ(one.jit_cache_hits, three.jit_cache_hits);
-  EXPECT_EQ(one.jit_cache_misses, three.jit_cache_misses);
-  EXPECT_EQ(one.jit_cache_evictions, three.jit_cache_evictions);
-  if (bpf::JitAvailable()) {
-    EXPECT_GT(one.jit_cache_misses, 0u);
-  }
-}
-
-TEST(JitCacheTest, CountersSurviveCheckpointResume) {
-  const std::string path = std::string(::testing::TempDir()) + "/jcache_resume.ckpt";
-  CampaignOptions options = SmallCampaign();
-  options.interp_engine = bpf::ExecEngine::kJit;
-  options.jobs = 2;
-
-  const CampaignStats full = RunParallel(options);
-
-  CampaignOptions first_leg = options;
-  first_leg.checkpoint_path = path;
-  first_leg.stop_after = 96;
-  RunParallel(first_leg);
-
-  CampaignOptions second_leg = options;
-  second_leg.resume_path = path;
-  const CampaignStats resumed = RunParallel(second_leg);
-  ASSERT_TRUE(resumed.resume_error.empty()) << resumed.resume_error;
-  EXPECT_EQ(StatsDigest(resumed), StatsDigest(full));
-  // Like the decode cache, the jit cache restarts empty after resume: loads
-  // (hits+misses) are conserved, misses can only grow.
-  EXPECT_EQ(resumed.jit_cache_hits + resumed.jit_cache_misses,
-            full.jit_cache_hits + full.jit_cache_misses);
-  EXPECT_GE(resumed.jit_cache_misses, full.jit_cache_misses);
-  std::remove(path.c_str());
-}
-
-TEST(JitCacheTest, FifoEvictionIsDeterministicAndBounded) {
-  bpf::JitCache cache(/*max_entries=*/2);
-  bpf::JitCacheShard shard(cache);
-  const auto blob = std::make_shared<const bpf::JitProgram>();
-  const bpf::VerdictKey a{1, 1};
-  const bpf::VerdictKey b{2, 2};
-  const bpf::VerdictKey c{3, 3};
-  shard.Insert(a, blob);
-  cache.CommitShards({&shard});
-  shard.Insert(b, blob);
-  cache.CommitShards({&shard});
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.evictions(), 0u);
-  shard.Insert(c, blob);
-  cache.CommitShards({&shard});  // evicts a (oldest commit)
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_EQ(cache.Lookup(a), nullptr);
-  EXPECT_NE(cache.Lookup(b), nullptr);
-  EXPECT_NE(cache.Lookup(c), nullptr);
-}
-
-TEST(JitCacheTest, EvictedEntryStillRunsWhileLoaded) {
-  if (!bpf::JitAvailable()) {
-    GTEST_SKIP() << "jit tier unavailable on this host";
-  }
-  // A program loaded from the cache holds a shared_ptr to the code blob;
-  // evicting its cache entry must not unmap code a live fd still runs.
-  Kernel kernel(KernelVersion::kBpfNext, BugConfig::None());
-  bpf::Bpf facade(kernel);
-  facade.set_exec_engine(bpf::ExecEngine::kJit);
-  bpf::JitCache cache(/*max_entries=*/1);
-  bpf::JitCacheShard shard(cache);
-  facade.set_jit_cache(&shard);
-
-  ProgramBuilder first;
-  first.RetImm(41);
-  const int fd = facade.ProgLoad(first.Build());
-  ASSERT_GT(fd, 0);
-  cache.CommitShards({&shard});
-
-  ProgramBuilder second;
-  second.RetImm(42);
-  const int fd2 = facade.ProgLoad(second.Build());
-  ASSERT_GT(fd2, 0);
-  cache.CommitShards({&shard});  // evicts the first entry
-  EXPECT_EQ(cache.evictions(), 1u);
-
-  EXPECT_EQ(facade.ProgTestRun(fd).r0, 41u);
-  EXPECT_EQ(facade.ProgTestRun(fd2).r0, 42u);
-}
-
-TEST(JitCacheTest, CacheHitSharesOneCodeBlob) {
-  if (!bpf::JitAvailable()) {
-    GTEST_SKIP() << "jit tier unavailable on this host";
-  }
-  Kernel kernel(KernelVersion::kBpfNext, BugConfig::None());
-  bpf::Bpf facade(kernel);
-  facade.set_exec_engine(bpf::ExecEngine::kJit);
-  bpf::JitCache cache;
-  bpf::JitCacheShard shard(cache);
-  facade.set_jit_cache(&shard);
-
-  ProgramBuilder b;
-  b.Mov(kR6, 5);
-  b.Mov(kR0, 0);
-  b.Alu(bpf::kAluAdd, kR0, kR6);
-  b.Alu(bpf::kAluSub, kR6, 1);
-  b.JmpIf(bpf::kJmpJne, kR6, 0, -3);
-  b.Ret();
-  const Program prog = b.Build();
-
-  const int miss_fd = facade.ProgLoad(prog);
-  ASSERT_GT(miss_fd, 0);
-  cache.CommitShards({&shard});
-  const int hit_fd = facade.ProgLoad(prog);
-  ASSERT_GT(hit_fd, 0);
-  EXPECT_EQ(shard.TakeMisses(), 1u);
-  EXPECT_EQ(shard.TakeHits(), 1u);
-  // Both fds share one compiled blob; executions are interchangeable.
-  const bpf::ExecResult a = facade.ProgTestRun(miss_fd);
-  const bpf::ExecResult h = facade.ProgTestRun(hit_fd);
-  EXPECT_EQ(a.r0, h.r0);
-  EXPECT_EQ(a.insns_executed, h.insns_executed);
-  EXPECT_EQ(facade.FindProg(miss_fd)->jit.get(), facade.FindProg(hit_fd)->jit.get());
-}
-
 // ---- JIT engine selection and the differential oracle ----
 
 TEST(JitEngineTest, DowngradesGracefullyWhenUnavailable) {
@@ -703,8 +442,6 @@ TEST(JitEngineTest, DowngradesGracefullyWhenUnavailable) {
   options.interp_engine = bpf::ExecEngine::kDecoded;
   const CampaignStats decoded = RunParallel(options);
   EXPECT_EQ(StatsDigest(downgraded), StatsDigest(decoded));
-  // The downgraded run never touched the jit cache.
-  EXPECT_EQ(downgraded.jit_cache_hits + downgraded.jit_cache_misses, 0u);
 }
 
 // Builds the one program shape SetJitMiscompileForTest deliberately

@@ -222,220 +222,6 @@ TEST(ParallelResumeTest, SerialCheckpointIsRejected) {
   std::remove(path.c_str());
 }
 
-// ---- Verdict cache ----
-
-// Generates tiny accept-able programs drawn from a 4-element space, so cache
-// hits are guaranteed once a program repeats across epochs.
-class TinySpaceGenerator : public Generator {
- public:
-  const char* name() const override { return "tiny-space"; }
-  FuzzCase Generate(bpf::Rng& rng) override {
-    FuzzCase fc;
-    fc.prog.type = bpf::ProgType::kSocketFilter;
-    fc.prog.insns = {bpf::MovImm(bpf::kR0, static_cast<int32_t>(rng.Below(4))),
-                     bpf::Exit()};
-    fc.test_runs = 1;
-    return fc;
-  }
-  std::unique_ptr<Generator> Clone() const override {
-    return std::make_unique<TinySpaceGenerator>();
-  }
-};
-
-CampaignStats RunTiny(int jobs, bool cache) {
-  CampaignOptions options;
-  options.iterations = 200;
-  options.seed = 5;
-  options.epoch_len = 32;
-  options.jobs = jobs;
-  options.verdict_cache = cache;
-  options.coverage_feedback = false;  // a 4-program space has no corpus to grow
-  TinySpaceGenerator generator;
-  ParallelFuzzer fuzzer(generator, options);
-  return fuzzer.Run();
-}
-
-TEST(VerdictCacheTest, HitsNeverChangeResults) {
-  const CampaignStats off = RunTiny(1, false);
-  const CampaignStats on = RunTiny(1, true);
-  EXPECT_EQ(StatsDigest(off), StatsDigest(on));
-  EXPECT_EQ(off.verdict_cache_hits, 0u);
-  EXPECT_EQ(off.verdict_cache_misses, 0u);
-  // 4 distinct programs, 200 iterations, lookups against the previous epoch's
-  // committed store: everything after epoch 1 hits.
-  EXPECT_GT(on.verdict_cache_hits, 100u);
-  EXPECT_GE(on.verdict_cache_misses, 4u);
-  EXPECT_EQ(on.verdict_cache_hits + on.verdict_cache_misses, 200u);
-}
-
-TEST(VerdictCacheTest, HitMissCountersAreJobCountInvariant) {
-  const CampaignStats one = RunTiny(1, true);
-  const CampaignStats three = RunTiny(3, true);
-  EXPECT_EQ(StatsDigest(one), StatsDigest(three));
-  EXPECT_EQ(one.verdict_cache_hits, three.verdict_cache_hits);
-  EXPECT_EQ(one.verdict_cache_misses, three.verdict_cache_misses);
-}
-
-TEST(VerdictCacheTest, CacheWorksOnRealCampaignWithoutChangingDigest) {
-  CampaignOptions options = SmallCampaign();
-  options.jobs = 2;
-  const CampaignStats off = RunParallel(options);
-  options.verdict_cache = true;
-  const CampaignStats on = RunParallel(options);
-  EXPECT_EQ(StatsDigest(off), StatsDigest(on));
-  EXPECT_EQ(FindingKeys(off), FindingKeys(on));
-  EXPECT_EQ(on.verdict_cache_hits + on.verdict_cache_misses, options.iterations);
-}
-
-TEST(VerdictCacheTest, SupervisedWorkerCachesAreDigestPreserving) {
-  // Supervised worker processes keep private verdict caches, each committing
-  // only its own shard's inserts. A hit must still be digest-invisible: the
-  // supervised cache-on campaign matches the in-process cache-off one, and
-  // every load is counted exactly once.
-  CampaignOptions options = SmallCampaign();
-  const CampaignStats stats_off = RunParallel(options);
-
-  options.jobs = 2;
-  options.verdict_cache = true;
-  StructuredGenerator generator(options.version);
-  SupervisedFuzzer supervised(generator, options);
-  const CampaignStats stats_on = supervised.Run();
-
-  EXPECT_EQ(StatsDigest(stats_off), StatsDigest(stats_on));
-  EXPECT_EQ(FindingKeys(stats_off), FindingKeys(stats_on));
-  EXPECT_EQ(stats_on.verdict_cache_hits + stats_on.verdict_cache_misses,
-            stats_on.iterations);
-  EXPECT_EQ(stats_on.iterations, options.iterations);
-}
-
-// ---- Checkpoint carries cache counters ----
-
-TEST(VerdictCacheTest, CountersSurviveCheckpointResume) {
-  const std::string path = TempPath("vcache_resume.bvfcp");
-  CampaignOptions options;
-  options.iterations = 200;
-  options.seed = 5;
-  options.epoch_len = 32;
-  options.verdict_cache = true;
-  options.coverage_feedback = false;
-  options.jobs = 2;
-
-  TinySpaceGenerator g1;
-  ParallelFuzzer full_fuzzer(g1, options);
-  const CampaignStats full = full_fuzzer.Run();
-
-  CampaignOptions first_leg = options;
-  first_leg.stop_after = 96;
-  first_leg.checkpoint_path = path;
-  TinySpaceGenerator g2;
-  ParallelFuzzer interrupted(g2, first_leg);
-  interrupted.Run();
-
-  CampaignOptions second_leg = options;
-  second_leg.jobs = 1;
-  second_leg.resume_path = path;
-  TinySpaceGenerator g3;
-  ParallelFuzzer resumed(g3, second_leg);
-  const CampaignStats continued = resumed.Run();
-
-  EXPECT_TRUE(continued.resume_error.empty()) << continued.resume_error;
-  EXPECT_EQ(StatsDigest(continued), StatsDigest(full));
-  // The resumed process starts with a cold cache, so it re-misses what the
-  // first leg had committed: hit totals are process-dependent, but every
-  // lookup is still accounted exactly once.
-  EXPECT_EQ(continued.verdict_cache_hits + continued.verdict_cache_misses,
-            options.iterations);
-  std::remove(path.c_str());
-}
-
-// Extracts the space-separated counter fields of the checkpoint line that
-// starts with `tag` ("vcache" / "dcache"), or an empty vector if absent.
-std::vector<uint64_t> CheckpointLineFields(const std::string& path,
-                                           const std::string& tag) {
-  std::ifstream is(path);
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.rfind(tag + " ", 0) == 0) {
-      std::vector<uint64_t> fields;
-      std::istringstream fs(line.substr(tag.size() + 1));
-      uint64_t v = 0;
-      while (fs >> v) {
-        fields.push_back(v);
-      }
-      return fields;
-    }
-  }
-  return {};
-}
-
-TEST(CacheCounterResumeTest, BothCachesResumeIdenticallyAtAnyJobCount) {
-  // The round-trip gap this guards: a mid-campaign checkpoint whose vcache
-  // AND dcache lines both carry real traffic must resume with identical
-  // hit/miss/evict counters whatever --jobs the second leg uses. The tiny
-  // 4-program space guarantees verdict hits; the decoded engine gives the decode
-  // cache the same traffic.
-  const std::string path = TempPath("both_caches_resume.bvfcp");
-  CampaignOptions options;
-  options.iterations = 200;
-  options.seed = 5;
-  options.epoch_len = 32;
-  options.verdict_cache = true;
-  options.interp_engine = bpf::ExecEngine::kDecoded;
-  options.coverage_feedback = false;
-  options.jobs = 2;
-
-  TinySpaceGenerator g1;
-  ParallelFuzzer full_fuzzer(g1, options);
-  const CampaignStats full = full_fuzzer.Run();
-
-  CampaignOptions first_leg = options;
-  first_leg.stop_after = 96;
-  first_leg.checkpoint_path = path;
-  TinySpaceGenerator g2;
-  ParallelFuzzer interrupted(g2, first_leg);
-  interrupted.Run();
-
-  // The checkpoint must carry non-empty cache counter lines: both caches saw
-  // traffic before the cut, and that state is what the resume inherits.
-  const std::vector<uint64_t> vcache = CheckpointLineFields(path, "vcache");
-  ASSERT_EQ(vcache.size(), 2u);
-  EXPECT_GT(vcache[0] + vcache[1], 0u) << "checkpoint vcache line is empty";
-  const std::vector<uint64_t> dcache = CheckpointLineFields(path, "dcache");
-  ASSERT_EQ(dcache.size(), 3u);
-  EXPECT_GT(dcache[0] + dcache[1], 0u) << "checkpoint dcache line is empty";
-
-  // Resume the same checkpoint at two different job counts.
-  CampaignOptions second_leg = options;
-  second_leg.jobs = 1;
-  second_leg.resume_path = path;
-  TinySpaceGenerator g3;
-  ParallelFuzzer resumed_one(g3, second_leg);
-  const CampaignStats one = resumed_one.Run();
-
-  second_leg.jobs = 3;
-  TinySpaceGenerator g4;
-  ParallelFuzzer resumed_three(g4, second_leg);
-  const CampaignStats three = resumed_three.Run();
-
-  EXPECT_TRUE(one.resume_error.empty()) << one.resume_error;
-  EXPECT_TRUE(three.resume_error.empty()) << three.resume_error;
-  EXPECT_EQ(StatsDigest(one), StatsDigest(full));
-  EXPECT_EQ(StatsDigest(three), StatsDigest(full));
-
-  // The counters themselves must not drift with the resume's job count.
-  EXPECT_EQ(one.verdict_cache_hits, three.verdict_cache_hits);
-  EXPECT_EQ(one.verdict_cache_misses, three.verdict_cache_misses);
-  EXPECT_EQ(one.decode_cache_hits, three.decode_cache_hits);
-  EXPECT_EQ(one.decode_cache_misses, three.decode_cache_misses);
-  EXPECT_EQ(one.decode_cache_evictions, three.decode_cache_evictions);
-  // Every lookup is accounted exactly once across the two processes.
-  EXPECT_EQ(one.verdict_cache_hits + one.verdict_cache_misses,
-            options.iterations);
-  EXPECT_EQ(one.decode_cache_hits + one.decode_cache_misses,
-            options.iterations);
-  std::remove(path.c_str());
-}
-
 // ---- Coverage registry thread safety ----
 
 TEST(CoverageThreadingTest, ConcurrentGlobalHitsCountEachSiteOnce) {

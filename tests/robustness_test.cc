@@ -16,6 +16,7 @@
 #include "src/core/parallel.h"
 #include "src/core/serialize.h"
 #include "src/core/structured_gen.h"
+#include "src/core/supervisor/supervisor.h"
 #include "src/ebpf/insn.h"
 #include "src/kernel/coverage.h"
 #include "src/kernel/fault_inject.h"
@@ -435,14 +436,6 @@ TEST(CheckpointTest, RoundTripPreservesEverything) {
 
 TEST(ExcludedCountersTest, LinesMatchTheCheckpointGrammar) {
   CampaignStats stats;
-  stats.verdict_cache_hits = 1;
-  stats.verdict_cache_misses = 2;
-  stats.decode_cache_hits = 3;
-  stats.decode_cache_misses = 4;
-  stats.decode_cache_evictions = 5;
-  stats.jit_cache_hits = 6;
-  stats.jit_cache_misses = 7;
-  stats.jit_cache_evictions = 8;
   stats.metamorph_bases = 9;
   stats.metamorph_variants = 10;
   stats.metamorph_verdict_divergences = 11;
@@ -462,9 +455,6 @@ TEST(ExcludedCountersTest, LinesMatchTheCheckpointGrammar) {
   std::ostringstream os;
   serialize::SerializeExcludedCounters(os, stats);
   EXPECT_EQ(os.str(),
-            "vcache 1 2\n"
-            "dcache 3 4 5\n"
-            "jcache 6 7 8\n"
             "mmorph 9 10 11 12 13\n"
             "supv 14 15 16 17 18 19\n"
             "conf 20 21 22 23 24\n");
@@ -480,12 +470,15 @@ TEST(ExcludedCountersTest, LinesMatchTheCheckpointGrammar) {
 }
 
 TEST(ExcludedCountersTest, ParserAcceptsOlderCheckpoints) {
-  // Before the conformance prologue and the JIT tier there were no conf or
-  // jcache lines; the removed canonical cache level left a ccache line.
+  // Checkpoints and worker frames from before the digest caches were removed
+  // carry their vcache, ccache, dcache and jcache lines; before the
+  // conformance prologue there was no conf line. The cache lines are read
+  // and dropped.
   std::istringstream is(
       "vcache 1 2\n"
       "ccache 7 7\n"
       "dcache 3 4 5\n"
+      "jcache 6 7 8\n"
       "mmorph 9 10 11 12 13\n"
       "supv 14 15 16 17 18 19\n"
       "end\n");
@@ -494,12 +487,25 @@ TEST(ExcludedCountersTest, ParserAcceptsOlderCheckpoints) {
   serialize::ParseExcludedCounters(reader, &parsed);
   reader.Line("end");
   ASSERT_TRUE(reader.ok()) << reader.error();
-  EXPECT_EQ(parsed.verdict_cache_misses, 2u);
-  EXPECT_EQ(parsed.decode_cache_evictions, 5u);
+  EXPECT_EQ(parsed.decode_cache_hits, 0u);
   EXPECT_EQ(parsed.jit_cache_hits, 0u);
+  EXPECT_EQ(parsed.metamorph_bases, 9u);
   EXPECT_EQ(parsed.metamorph_sanitizer_divergences, 13u);
   EXPECT_EQ(parsed.quarantined_cases, 19u);
   EXPECT_EQ(parsed.conf_cases, 0u);
+}
+
+TEST(ExcludedCountersTest, ParserRejectsMalformedLegacyCacheLine) {
+  // Optional is not lenient: a legacy line with the wrong field count is
+  // still a parse error, not a silently skipped line.
+  std::istringstream is(
+      "dcache 3 4\n"
+      "mmorph 9 10 11 12 13\n"
+      "supv 14 15 16 17 18 19\n");
+  serialize::Reader reader(is);
+  CampaignStats parsed;
+  serialize::ParseExcludedCounters(reader, &parsed);
+  EXPECT_FALSE(reader.ok());
 }
 
 TEST(FingerprintPinTest, DefaultOptionsHashIsUnchanged) {
@@ -693,6 +699,70 @@ TEST(CoverageCheckpointTest, HitKeysRoundTripIncludingPending) {
   EXPECT_EQ(resaved.size(), covered + 1);
 
   cov.ResetHits();  // leave the process-global clean for other tests
+}
+
+TEST(CoverageCheckpointTest, KeysResumeAcrossCheckoutPaths) {
+  // A checkpoint written by a build in another directory: every coverage key
+  // carries that build's absolute path in front of its src/ component. The
+  // keys must still name the same sites, so the resume reproduces the
+  // uninterrupted digest.
+  const std::string path = TempPath("other_checkout.bvfcp");
+  CampaignOptions options;
+  options.iterations = 192;
+  options.seed = 4;
+  options.epoch_len = 32;
+  options.bugs = BugConfig::All();
+
+  StructuredGenerator g1(options.version);
+  ParallelFuzzer full_fuzzer(g1, options);
+  const CampaignStats full = full_fuzzer.Run();
+
+  CampaignOptions first_leg = options;
+  first_leg.stop_after = 96;
+  first_leg.checkpoint_path = path;
+  StructuredGenerator g2(options.version);
+  ParallelFuzzer interrupted(g2, first_leg);
+  interrupted.Run();
+
+  // Re-root every key line under another checkout and re-seal the trailer.
+  std::ifstream is(path, std::ios::binary);
+  std::string body;
+  std::string line;
+  size_t rewritten = 0;
+  while (std::getline(is, line)) {
+    if (line.rfind("sum ", 0) == 0) {
+      break;
+    }
+    const size_t src = line.rfind("src/");
+    if (line.rfind("k ", 0) == 0 && src != std::string::npos) {
+      line = "k /elsewhere/checkout/" + line.substr(src);
+      ++rewritten;
+    }
+    body += line + "\n";
+  }
+  is.close();
+  ASSERT_GT(rewritten, 0u);
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os << body << "sum " << serialize::Hex64(serialize::Fnv1a(body)) << "\n";
+  os.close();
+
+  CampaignOptions second_leg = options;
+  second_leg.resume_path = path;
+  StructuredGenerator g3(options.version);
+  ParallelFuzzer resumed(g3, second_leg);
+  const CampaignStats continued = resumed.Run();
+  ASSERT_TRUE(continued.resume_error.empty()) << continued.resume_error;
+  EXPECT_EQ(continued.final_coverage, full.final_coverage);
+  EXPECT_EQ(StatsDigest(continued), StatsDigest(full));
+
+  // The supervised coordinator keeps its own key set; it must agree too.
+  second_leg.jobs = 2;
+  StructuredGenerator g4(options.version);
+  SupervisedFuzzer supervised(g4, second_leg);
+  const CampaignStats supervised_continued = supervised.Run();
+  ASSERT_TRUE(supervised_continued.resume_error.empty()) << supervised_continued.resume_error;
+  EXPECT_EQ(StatsDigest(supervised_continued), StatsDigest(full));
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -83,30 +83,6 @@ TEST(SupervisorCounterTest, MetamorphCountersMatchInProcess) {
   EXPECT_EQ(supervised.accepted, in_process.accepted);
 }
 
-TEST(SupervisorCounterTest, CacheCountersMatchInProcessAtOneJob) {
-  // One worker process commits its caches at the end of every epoch shard,
-  // which is what the one-job in-process barrier does: every cache counter
-  // must agree.
-  CampaignOptions options = SmallCampaign();
-  options.iterations = 600;
-  options.jobs = 1;
-  options.verdict_cache = true;
-  options.interp_engine = bpf::ExecEngine::kJit;
-  const CampaignStats in_process = RunParallel(options);
-  const CampaignStats supervised = RunSupervised(options);
-  ASSERT_TRUE(supervised.resume_error.empty()) << supervised.resume_error;
-  EXPECT_EQ(StatsDigest(supervised), StatsDigest(in_process));
-  EXPECT_GT(in_process.verdict_cache_hits, 0u);
-  EXPECT_EQ(supervised.verdict_cache_hits, in_process.verdict_cache_hits);
-  EXPECT_EQ(supervised.verdict_cache_misses, in_process.verdict_cache_misses);
-  EXPECT_EQ(supervised.decode_cache_hits, in_process.decode_cache_hits);
-  EXPECT_EQ(supervised.decode_cache_misses, in_process.decode_cache_misses);
-  EXPECT_EQ(supervised.decode_cache_evictions, in_process.decode_cache_evictions);
-  EXPECT_EQ(supervised.jit_cache_hits, in_process.jit_cache_hits);
-  EXPECT_EQ(supervised.jit_cache_misses, in_process.jit_cache_misses);
-  EXPECT_EQ(supervised.jit_cache_evictions, in_process.jit_cache_evictions);
-}
-
 // ---- Digest identity with the in-process engine ----
 
 TEST(SupervisorDigestTest, MatchesInProcessEngineAcrossJobCounts) {
