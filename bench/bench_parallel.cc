@@ -3,23 +3,30 @@
 // Measures the same campaign (all bugs, faults off, structured generation)
 // on the epoch engine at jobs ∈ {1, 2, 4, 8}, reporting executions/sec and
 // covered-branches/sec.
-// Because the engine is bit-deterministic across job counts, every row is
+// Because the engine is bit-deterministic across job counts, every run is
 // required to produce the same StatsDigest — a throughput run that diverges
 // is a correctness failure, not a perf data point.
 //
+// Measurement follows bench_reset: every campaign runs in a forked child, a
+// round runs each job count once back to back (the starting job count
+// rotates between rounds), and a job count's speedup is the median over
+// rounds of jobs=1's time over its own in the same round. Host drift between
+// rounds then cancels inside each ratio instead of landing between rows.
+//
 // Acceptance bars:
-//   * every row's digest equals the jobs=1 digest (always checked), and
-//   * ≥3x throughput at jobs=8 — checked only when the host actually has ≥8
+//   * every run's digest equals the first run's (always checked), and
+//   * ≥3x speedup at jobs=8 — checked only when the host actually has ≥8
 //     hardware threads; on smaller hosts the scaling rows are informational
 //     (a 1-core container cannot demonstrate parallel speedup).
 //
-// Results go to stdout as a table and to bench_parallel.json for tooling.
+// Results go to stdout as a table and to BENCH_parallel.json for tooling.
 
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/core/checkpoint.h"
@@ -29,7 +36,9 @@ namespace bvf {
 namespace {
 
 constexpr uint64_t kIterations = 2000;
-constexpr int kRepeats = 3;  // best-of to damp scheduler noise
+constexpr int kRounds = 7;
+constexpr int kJobs[] = {1, 2, 4, 8};
+constexpr int kRows = 4;
 
 double Now() {
   return std::chrono::duration<double>(
@@ -37,40 +46,31 @@ double Now() {
       .count();
 }
 
+// Fixed-size so a forked child can send it back over a pipe in one write.
 struct RunResult {
   double seconds = 0;
   uint64_t exec_runs = 0;
-  size_t coverage = 0;
-  std::string digest;
+  uint64_t coverage = 0;
+  char digest[32] = {};
 };
 
-CampaignOptions BenchOptions(int jobs) {
+RunResult RunCampaign(int jobs) {
   CampaignOptions options;
   options.version = bpf::KernelVersion::kBpfNext;
   options.bugs = bpf::BugConfig::All();
   options.iterations = kIterations;
   options.seed = 1;
   options.jobs = jobs;
-  return options;
-}
-
-RunResult Measure(int jobs) {
-  const CampaignOptions options = BenchOptions(jobs);
-  RunResult best;
-  for (int repeat = 0; repeat < kRepeats; ++repeat) {
-    StructuredGenerator generator(options.version);
-    ParallelFuzzer fuzzer(generator, options);
-    const double start = Now();
-    const CampaignStats stats = fuzzer.Run();
-    const double seconds = Now() - start;
-    if (repeat == 0 || seconds < best.seconds) {
-      best.seconds = seconds;
-      best.exec_runs = stats.exec_runs;
-      best.coverage = stats.final_coverage;
-      best.digest = StatsDigest(stats);
-    }
-  }
-  return best;
+  StructuredGenerator generator(options.version);
+  ParallelFuzzer fuzzer(generator, options);
+  const double start = Now();
+  const CampaignStats stats = fuzzer.Run();
+  RunResult result;
+  result.seconds = Now() - start;
+  result.exec_runs = stats.exec_runs;
+  result.coverage = stats.final_coverage;
+  snprintf(result.digest, sizeof(result.digest), "%s", StatsDigest(stats).c_str());
+  return result;
 }
 
 }  // namespace
@@ -80,74 +80,100 @@ int main() {
   using namespace bvf;
   const unsigned hw_threads = std::thread::hardware_concurrency();
   PrintHeader("parallel sharded campaign engine: throughput and determinism");
-  printf("campaign: %" PRIu64 " iterations, all bugs, best of %d runs\n",
-         kIterations, kRepeats);
+  printf("campaign: %" PRIu64 " iterations, all bugs, %d interleaved isolated rounds\n",
+         kIterations, kRounds);
   printf("host: %u hardware threads\n\n", hw_threads);
 
-  const int kJobs[] = {1, 2, 4, 8};
-  RunResult parallel[4];
-  for (int i = 0; i < 4; ++i) {
-    parallel[i] = Measure(kJobs[i]);
+  // Per job count: every round's seconds and its ratio to jobs=1 in the
+  // same round; every run's digest must equal the first one's.
+  std::vector<double> seconds[kRows];
+  std::vector<double> speedups[kRows];
+  RunResult last[kRows];
+  std::string digest;
+  bool digests_match = true;
+  for (int round = 0; round < kRounds; ++round) {
+    RunResult runs[kRows];
+    for (int k = 0; k < kRows; ++k) {
+      const int i = (round + k) % kRows;
+      const int jobs = kJobs[i];
+      if (!RunForked([jobs] { return RunCampaign(jobs); }, &runs[i])) {
+        fprintf(stderr, "measurement child failed\n");
+        return 1;
+      }
+    }
+    for (int i = 0; i < kRows; ++i) {
+      if (digest.empty()) {
+        digest = runs[i].digest;
+      }
+      digests_match = digests_match && digest == runs[i].digest;
+      seconds[i].push_back(runs[i].seconds);
+      speedups[i].push_back(runs[0].seconds / runs[i].seconds);
+    }
+    std::copy(std::begin(runs), std::end(runs), std::begin(last));
   }
 
-  printf("%-12s %9s %10s %10s %9s\n", "engine", "seconds", "iters/s", "execs/s",
-         "cov/s");
-  PrintRule(55);
-  bool digests_match = true;
+  printf("%-12s %9s %10s %10s %9s %8s\n", "engine", "seconds", "iters/s", "execs/s", "cov/s",
+         "speedup");
+  PrintRule(63);
   bool any_oversubscribed = false;
-  for (int i = 0; i < 4; ++i) {
+  double median_seconds[kRows];
+  for (int i = 0; i < kRows; ++i) {
     // A row with more jobs than hardware threads cannot demonstrate parallel
     // speedup — the workers time-slice one another. Keep the row (digest
     // determinism still holds and must be checked) but mark it informational
     // so nobody quotes an oversubscribed number as a scaling result.
     const bool oversubscribed = static_cast<unsigned>(kJobs[i]) > hw_threads;
     any_oversubscribed = any_oversubscribed || oversubscribed;
+    median_seconds[i] = Median(seconds[i]);
     char label[16];
     snprintf(label, sizeof(label), "jobs=%d", kJobs[i]);
-    printf("%-12s %9.3f %10.0f %10.0f %9.0f%s\n", label, parallel[i].seconds,
-           kIterations / parallel[i].seconds, parallel[i].exec_runs / parallel[i].seconds,
-           parallel[i].coverage / parallel[i].seconds, oversubscribed ? "  *" : "");
-    digests_match = digests_match && parallel[i].digest == parallel[0].digest;
+    printf("%-12s %9.3f %10.0f %10.0f %9.0f %7.2fx%s\n", label, median_seconds[i],
+           kIterations / median_seconds[i], last[i].exec_runs / median_seconds[i],
+           last[i].coverage / median_seconds[i], Median(speedups[i]),
+           oversubscribed ? "  *" : "");
   }
+  printf("seconds: median over rounds; speedup: median of per-round jobs=1/jobs=N ratios\n");
   if (any_oversubscribed) {
     printf("* informational: more jobs than the host's %u hardware threads; "
            "excluded from speedup bars\n",
            hw_threads);
   }
 
-  const double speedup8 = parallel[0].seconds / parallel[3].seconds;
-  printf("\nparallel digests identical across job counts: %s (%s)\n",
-         digests_match ? "yes" : "NO", parallel[0].digest.c_str());
+  const double speedup8 = Median(speedups[kRows - 1]);
+  printf("\nparallel digests identical across job counts and rounds: %s (%s)\n",
+         digests_match ? "yes" : "NO", digest.c_str());
   printf("jobs=8 speedup over jobs=1: %.2fx (bar >= 3x, enforced only with >= 8 hw threads)\n",
          speedup8);
 
-  FILE* json = fopen("bench_parallel.json", "w");
+  FILE* json = fopen("BENCH_parallel.json", "w");
   if (json) {
     fprintf(json,
             "{\n"
             "  \"iterations\": %" PRIu64 ",\n"
-            "  \"repeats\": %d,\n"
+            "  \"rounds\": %d,\n"
             "  \"hardware_threads\": %u,\n"
             "  \"jobs8_speedup\": %.3f,\n"
+            "  \"speedup_method\": \"median of per-round ratios, fork-isolated interleaved "
+            "runs\",\n"
             "  \"digests_match\": %s,\n"
             "  \"stats_digest\": \"%s\",\n"
             "  \"per_jobs\": [\n",
-            kIterations, kRepeats, hw_threads, speedup8,
-            digests_match ? "true" : "false", parallel[0].digest.c_str());
-    for (int i = 0; i < 4; ++i) {
+            kIterations, kRounds, hw_threads, speedup8, digests_match ? "true" : "false",
+            digest.c_str());
+    for (int i = 0; i < kRows; ++i) {
       fprintf(json,
               "    {\"jobs\": %d, \"seconds\": %.4f, \"iters_per_sec\": %.1f, "
-              "\"execs_per_sec\": %.1f, \"coverage_per_sec\": %.1f, "
+              "\"execs_per_sec\": %.1f, \"coverage_per_sec\": %.1f, \"speedup\": %.3f, "
               "\"informational\": %s}%s\n",
-              kJobs[i], parallel[i].seconds, kIterations / parallel[i].seconds,
-              parallel[i].exec_runs / parallel[i].seconds,
-              parallel[i].coverage / parallel[i].seconds,
+              kJobs[i], median_seconds[i], kIterations / median_seconds[i],
+              last[i].exec_runs / median_seconds[i], last[i].coverage / median_seconds[i],
+              Median(speedups[i]),
               static_cast<unsigned>(kJobs[i]) > hw_threads ? "true" : "false",
-              i == 3 ? "" : ",");
+              i == kRows - 1 ? "" : ",");
     }
     fprintf(json, "  ]\n}\n");
     fclose(json);
-    printf("wrote bench_parallel.json\n");
+    printf("wrote BENCH_parallel.json\n");
   }
 
   if (!digests_match) {

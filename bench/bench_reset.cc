@@ -22,15 +22,10 @@
 //
 // Results go to stdout as a table and to BENCH_reset.json for tooling.
 
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
-#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -58,65 +53,29 @@ struct RunResult {
   char digest[32] = {};
 };
 
-// One full campaign in the given configuration, in a forked child; the fixed
-// -size result comes back over a pipe. Returns false if the child failed.
-bool RunOnceIsolated(bool optimized, RunResult* best, double* seconds) {
-  int fds[2];
-  if (pipe(fds) != 0) {
-    return false;
-  }
-  const pid_t pid = fork();
-  if (pid < 0) {
-    close(fds[0]);
-    close(fds[1]);
-    return false;
-  }
-  if (pid == 0) {
-    close(fds[0]);
-    CampaignOptions options;
-    options.version = bpf::KernelVersion::kBpfNext;
-    options.bugs = bpf::BugConfig::All();
-    options.iterations = kIterations;
-    options.seed = 1;
-    options.jobs = 1;
-    options.dirty_reset = optimized;
-    bpf::SetPruneFingerprintEnabled(optimized);
+// One full campaign in the given configuration.
+RunResult RunCampaign(bool optimized) {
+  CampaignOptions options;
+  options.version = bpf::KernelVersion::kBpfNext;
+  options.bugs = bpf::BugConfig::All();
+  options.iterations = kIterations;
+  options.seed = 1;
+  options.jobs = 1;
+  options.dirty_reset = optimized;
+  bpf::SetPruneFingerprintEnabled(optimized);
 
-    StructuredGenerator generator(options.version);
-    ParallelFuzzer fuzzer(generator, options);
-    const double start = Now();
-    const CampaignStats stats = fuzzer.Run();
+  StructuredGenerator generator(options.version);
+  ParallelFuzzer fuzzer(generator, options);
+  const double start = Now();
+  const CampaignStats stats = fuzzer.Run();
 
-    RunResult wire;
-    wire.seconds = Now() - start;
-    wire.exec_runs = stats.exec_runs;
-    wire.accepted = stats.accepted;
-    wire.coverage = stats.final_coverage;
-    snprintf(wire.digest, sizeof(wire.digest), "%s", StatsDigest(stats).c_str());
-    const ssize_t written = write(fds[1], &wire, sizeof(wire));
-    _exit(written == sizeof(wire) ? 0 : 1);
-  }
-  close(fds[1]);
-  RunResult wire;
-  const ssize_t got = read(fds[0], &wire, sizeof(wire));
-  close(fds[0]);
-  int status = 0;
-  waitpid(pid, &status, 0);
-  if (got != static_cast<ssize_t>(sizeof(wire))) {
-    return false;
-  }
-  if (best->seconds == 0 || wire.seconds < best->seconds) {
-    *best = wire;
-  }
-  *seconds = wire.seconds;
-  return true;
-}
-
-// Middle value; the host's effective speed drifts on a timescale of minutes,
-// so a single slow phase can poison a mean but not a median.
-double Median(std::vector<double> xs) {
-  std::sort(xs.begin(), xs.end());
-  return xs[xs.size() / 2];
+  RunResult result;
+  result.seconds = Now() - start;
+  result.exec_runs = stats.exec_runs;
+  result.accepted = stats.accepted;
+  result.coverage = stats.final_coverage;
+  snprintf(result.digest, sizeof(result.digest), "%s", StatsDigest(stats).c_str());
+  return result;
 }
 
 }  // namespace
@@ -138,14 +97,20 @@ int main() {
   RunResult optimized;
   std::vector<double> pair_speedups;
   for (int repeat = 0; repeat < kRepeats; ++repeat) {
-    double base_s = 0;
-    double opt_s = 0;
-    if (!RunOnceIsolated(/*optimized=*/false, &baseline, &base_s) ||
-        !RunOnceIsolated(/*optimized=*/true, &optimized, &opt_s)) {
-      fprintf(stderr, "measurement child failed\n");
-      return 1;
+    RunResult runs[2];  // [baseline, optimized]
+    for (int config = 0; config < 2; ++config) {
+      if (!RunForked([config] { return RunCampaign(config == 1); }, &runs[config])) {
+        fprintf(stderr, "measurement child failed\n");
+        return 1;
+      }
     }
-    pair_speedups.push_back(base_s / opt_s);
+    if (repeat == 0 || runs[0].seconds < baseline.seconds) {
+      baseline = runs[0];
+    }
+    if (repeat == 0 || runs[1].seconds < optimized.seconds) {
+      optimized = runs[1];
+    }
+    pair_speedups.push_back(runs[0].seconds / runs[1].seconds);
   }
 
   printf("%-12s %9s %10s %10s %9s\n", "config", "seconds", "execs/s", "accepted",

@@ -31,10 +31,6 @@
 //
 // Results go to stdout as a table and to bench_supervisor.json for tooling.
 
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -145,38 +141,6 @@ RunResult RunCampaign(Engine engine, int round, const char* marker_dir) {
   return result;
 }
 
-// One campaign in a forked child. False if the child failed.
-bool RunIsolated(Engine engine, int round, const char* marker_dir, RunResult* out) {
-  int fds[2];
-  if (pipe(fds) != 0) {
-    return false;
-  }
-  const pid_t pid = fork();
-  if (pid < 0) {
-    close(fds[0]);
-    close(fds[1]);
-    return false;
-  }
-  if (pid == 0) {
-    close(fds[0]);
-    const RunResult result = RunCampaign(engine, round, marker_dir);
-    const ssize_t written = write(fds[1], &result, sizeof(result));
-    _exit(written == sizeof(result) ? 0 : 1);
-  }
-  close(fds[1]);
-  const ssize_t got = read(fds[0], out, sizeof(*out));
-  close(fds[0]);
-  int status = 0;
-  waitpid(pid, &status, 0);
-  return got == static_cast<ssize_t>(sizeof(*out)) && WIFEXITED(status) &&
-         WEXITSTATUS(status) == 0;
-}
-
-double Median(std::vector<double> xs) {
-  std::sort(xs.begin(), xs.end());
-  return xs[xs.size() / 2];
-}
-
 }  // namespace
 }  // namespace bvf
 
@@ -207,7 +171,10 @@ int main() {
   for (int round = 0; round < kRepeats; ++round) {
     RunResult runs[3];
     for (int e = 0; e < 3; ++e) {
-      if (!RunIsolated(static_cast<Engine>(e), round, marker_dir, &runs[e])) {
+      const auto campaign = [e, round, &marker_dir] {
+        return RunCampaign(static_cast<Engine>(e), round, marker_dir);
+      };
+      if (!RunForked(campaign, &runs[e])) {
         fprintf(stderr, "measurement child failed\n");
         return 1;
       }

@@ -4,7 +4,8 @@
 // Times VerifyProgram alone — no load path, no caches — on three shapes:
 //   loop-to-limit — a counting loop whose state never repeats, so the walk
 //                   runs to the complexity limit and ends in E2BIG (the shape
-//                   that dominates verify time in the paper campaign);
+//                   a loop whose body or mutation broke its counter took,
+//                   before the generator kept loops bounded);
 //   accepted mix  — structured-generator programs the all-bugs verifier
 //                   accepts;
 //   rejected mix  — the generated programs it rejects.
@@ -13,9 +14,13 @@
 // between the two columns. The verifier runs as the campaign drives it:
 // all bugs injected, per-instruction state claims collected.
 //
-// One bar, enforced here: both paths return the same verdict, log,
-// insns_processed, states_pruned and peak_states for every program. A
-// faster path that changes any of them is a correctness failure.
+// Two bars, enforced here:
+//   - both paths return the same verdict, log, insns_processed,
+//     states_pruned and peak_states for every program. A faster path that
+//     changes any of them is a correctness failure;
+//   - no generated program ends in E2BIG (rejected_mix.e2big == 0): the
+//     generator's loops are bounded by construction, so a walk to the
+//     complexity limit means a loop frame lost its bound.
 //
 // Results go to stdout as a table and to BENCH_verify.json.
 
@@ -189,6 +194,8 @@ int main() {
            shape->UsPerVerify(0) / std::max(shape->UsPerVerify(1), 1e-9));
   }
   printf("\nresults identical between the two paths: %s\n", equal ? "yes" : "NO");
+  const bool bounded = accepted.e2big == 0 && rejected.e2big == 0;
+  printf("generated programs ending in E2BIG: %d (bar: 0)\n", rejected.e2big + accepted.e2big);
 
   FILE* json = fopen("BENCH_verify.json", "w");
   if (json) {
@@ -207,5 +214,5 @@ int main() {
     fclose(json);
     printf("wrote BENCH_verify.json\n");
   }
-  return equal ? 0 : 1;
+  return equal && bounded ? 0 : 1;
 }

@@ -28,11 +28,12 @@
 #      label (`ctest -N` count == `ctest -N -L tier1` count) and the suites
 #      this tree considers load-bearing (supervisor digest and counters,
 #      journal, parallel, checkpoint, counter lines, the options-fingerprint
-#      pin, jit, conformance, prune fingerprint, checkpoint fuzz) must
-#      actually be discovered, so nothing can silently drop out of the tier-1
-#      gate. The prune-fingerprint suites (fast path vs plain scan, and the
-#      fingerprint contract) and the LoadCheckpoint mutational fuzz suite also
-#      run here under ASan/UBSan.
+#      pin, jit, conformance, prune fingerprint, checkpoint fuzz, bounded
+#      loops) must actually be discovered, so nothing can silently drop out of
+#      the tier-1 gate. The prune-fingerprint suites (fast path vs plain scan,
+#      and the fingerprint contract), the LoadCheckpoint mutational fuzz suite
+#      and the bounded-loop generator/mutator suite also run here under
+#      ASan/UBSan.
 #
 # Usage: scripts/smoke_all.sh [asan-build-dir] [tsan-build-dir]
 #        (defaults: build-smoke build-tsan)
@@ -139,7 +140,7 @@ fi
 # lets grep exit at the first match, and under pipefail the SIGPIPE that
 # ctest then takes would read as "suite missing".
 TIER1_LIST="$(ctest --test-dir "$ASAN_DIR" -N -L tier1 2>/dev/null)"
-ASAN_SUITES="PruneFingerprintTest FingerprintContractTest CheckpointFuzzTest"
+ASAN_SUITES="PruneFingerprintTest FingerprintContractTest CheckpointFuzzTest BoundedLoopTest"
 for SUITE in SupervisorDigestTest SupervisorCounterTest JournalTest ParallelInvarianceTest \
         CheckpointTest ExcludedCountersTest FingerprintPinTest JitEngineTest \
         ConformanceCorpusTest AsmRoundTripTest $ASAN_SUITES; do
@@ -150,10 +151,10 @@ for SUITE in SupervisorDigestTest SupervisorCounterTest JournalTest ParallelInva
 done
 echo "smoke: all $ALL_TESTS discovered tests carry the tier1 label (load-bearing suites present)"
 ctest --test-dir "$ASAN_DIR" -L tier1 -R "^(${ASAN_SUITES// /|})\\." --output-on-failure >/dev/null || {
-    echo "SMOKE FAIL: prune-fingerprint or checkpoint-fuzz suites fail under ASan/UBSan"
+    echo "SMOKE FAIL: prune-fingerprint, checkpoint-fuzz or bounded-loop suites fail under ASan/UBSan"
     exit 1
 }
-echo "smoke: prune-fingerprint and checkpoint-fuzz suites pass under ASan/UBSan"
+echo "smoke: prune-fingerprint, checkpoint-fuzz and bounded-loop suites pass under ASan/UBSan"
 
 echo
 echo "smoke_all: PASS"

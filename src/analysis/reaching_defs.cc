@@ -1,5 +1,7 @@
 #include "src/analysis/reaching_defs.h"
 
+#include <utility>
+
 #include "src/analysis/dataflow.h"
 #include "src/analysis/liveness.h"
 
@@ -168,6 +170,46 @@ ReachingDefs ComputeReachingDefs(const bpf::Program& prog, const Cfg& cfg) {
     }
   }
   return res;
+}
+
+namespace {
+
+bool IsBackwardCondJump(const Insn& insn) {
+  return insn.IsJmp() && !insn.IsCall() && !insn.IsExit() && insn.JmpOp() != bpf::kJmpJa &&
+         insn.off < 0;
+}
+
+}  // namespace
+
+std::vector<bool> LoopControlInsns(const bpf::Program& prog) {
+  const int n = static_cast<int>(prog.insns.size());
+  std::vector<bool> control(n, false);
+  std::vector<std::pair<int, int>> work;  // (instruction, register) uses to resolve
+  for (int i = 0; i < n; ++i) {
+    if (i > 0 && prog.insns[i - 1].IsLdImm64()) continue;  // data slot
+    const Insn& insn = prog.insns[i];
+    if (IsBackwardCondJump(insn)) {
+      control[i] = true;
+      work.emplace_back(i, insn.dst);
+      if (insn.SrcIsReg()) work.emplace_back(i, insn.src);
+    }
+  }
+  if (work.empty()) return control;
+
+  const Cfg cfg = BuildCfg(prog);
+  const ReachingDefs rd = ComputeReachingDefs(prog, cfg);
+  while (!work.empty()) {
+    const auto [use, reg] = work.back();
+    work.pop_back();
+    for (const int id : rd.DefsReaching(use, reg)) {
+      const int at = rd.defs()[id].insn;
+      if (at < 0 || control[at]) continue;
+      control[at] = true;
+      const Insn& def = prog.insns[at];
+      if (!def.IsCall() && (InsnUseMask(def) & RegBit(reg))) work.emplace_back(at, reg);
+    }
+  }
+  return control;
 }
 
 }  // namespace bvf

@@ -55,6 +55,15 @@ class ReachingDefs {
 
 ReachingDefs ComputeReachingDefs(const bpf::Program& prog, const Cfg& cfg);
 
+// Loop control: each backward conditional jump, plus every definition of a
+// register it tests that reaches it, followed through definitions that read
+// the register they write (`rC -= 1` reads rC) back to ones that set it
+// outright. For the structured generator's bounded-loop frame
+// `rC = N; body; rC -= 1; if rC != 0 goto body` that is the init, the step
+// and the test. Indexed by instruction; all false (and no CFG is built) when
+// the program has no backward conditional jump.
+std::vector<bool> LoopControlInsns(const bpf::Program& prog);
+
 }  // namespace bvf
 
 #endif  // SRC_ANALYSIS_REACHING_DEFS_H_

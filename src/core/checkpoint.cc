@@ -4,8 +4,8 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -57,6 +57,13 @@ int AtomicWrite(const std::string& path, const std::string& content) {
     return -EIO;
   }
   return 0;
+}
+
+// A whole unsigned decimal: no sign, no trailing characters.
+bool ParseU64(const std::string& text, uint64_t* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end;
 }
 
 }  // namespace
@@ -217,15 +224,14 @@ int LoadCheckpoint(const std::string& path, CampaignCheckpoint* out, std::string
     std::istringstream ss(reader.Line("fingerprint"));
     std::string engine_field;
     std::string epoch_field;
-    if (!(ss >> cp.fingerprint >> engine_field >> epoch_field) ||
+    std::string extra;
+    if (!(ss >> cp.fingerprint >> engine_field >> epoch_field) || (ss >> extra) ||
         engine_field.compare(0, 7, "engine=") != 0 ||
         epoch_field.compare(0, 6, "epoch=") != 0) {
       reader.Fail("malformed fingerprint line (want '<hash> engine=<e> epoch=<n>')");
     } else {
       cp.engine = engine_field.substr(7);
-      char* endp = nullptr;
-      cp.epoch_len = std::strtoull(epoch_field.c_str() + 6, &endp, 10);
-      if (endp == nullptr || *endp != '\0') {
+      if (!ParseU64(epoch_field.substr(6), &cp.epoch_len)) {
         reader.Fail("malformed epoch field on fingerprint line");
       }
       if (cp.engine != kEngineParallel) {
@@ -235,14 +241,22 @@ int LoadCheckpoint(const std::string& path, CampaignCheckpoint* out, std::string
       }
     }
   }
-  cp.next_iteration = static_cast<uint64_t>(reader.Fields("next_iteration", 1)[0]);
+  cp.next_iteration = static_cast<uint64_t>(
+      reader.Fields("next_iteration", {serialize::Counter("next_iteration")})[0]);
   {
     // Full-range uint64 words; parsed separately from the signed field path.
     std::istringstream ss(reader.Line("rng"));
-    for (int i = 0; i < 4; ++i) {
-      if (!(ss >> cp.rng_state[i])) {
-        reader.Fail("malformed rng state");
+    std::string word;
+    int words = 0;
+    while (ss >> word) {
+      if (words >= 4 || !ParseU64(word, &cp.rng_state[words])) {
+        words = -1;
+        break;
       }
+      ++words;
+    }
+    if (words != 4) {
+      reader.Fail("malformed rng state");
     }
   }
   serialize::ParseStats(reader, &cp.stats);
@@ -258,7 +272,9 @@ int LoadCheckpoint(const std::string& path, CampaignCheckpoint* out, std::string
       cp.stats.crash_findings.push_back(std::move(finding));
     }
   }
-  reader.Line("end");
+  if (!reader.Line("end").empty() || (reader.ok() && !reader.AtEnd())) {
+    reader.Fail("'end' must be the last line, bare");
+  }
   if (!reader.ok()) {
     if (error != nullptr) {
       *error = reader.error();

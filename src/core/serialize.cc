@@ -1,7 +1,9 @@
 #include "src/core/serialize.h"
 
+#include <charconv>
 #include <cstdio>
 #include <initializer_list>
+#include <map>
 #include <sstream>
 #include <utility>
 
@@ -87,8 +89,15 @@ std::string Reader::Line(const std::string& tag) {
 std::vector<int64_t> Reader::Fields(const std::string& tag, size_t count) {
   std::vector<int64_t> out;
   std::istringstream ss(Line(tag));
-  int64_t value = 0;
-  while (ss >> value) {
+  std::string token;
+  while (ok() && ss >> token) {
+    int64_t value = 0;
+    const char* end = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+    if (ec != std::errc() || ptr != end) {
+      Fail("malformed number on '" + tag + "': " + token);
+      break;
+    }
     out.push_back(value);
   }
   if (ok() && out.size() != count) {
@@ -96,6 +105,22 @@ std::vector<int64_t> Reader::Fields(const std::string& tag, size_t count) {
   }
   out.resize(count, 0);
   return out;
+}
+
+std::vector<int64_t> Reader::Fields(const std::string& tag, std::initializer_list<Field> fields) {
+  std::vector<int64_t> out = Fields(tag, fields.size());
+  size_t i = 0;
+  for (const Field& field : fields) {
+    CheckRange(tag, field, out[i++]);
+  }
+  return out;
+}
+
+void Reader::CheckRange(const std::string& tag, const Field& field, int64_t value) {
+  if (ok() && (value < field.min || value > field.max)) {
+    Fail(std::string(value < 0 && field.min == 0 ? "negative " : "out-of-range ") + field.name +
+         " on '" + tag + "': " + std::to_string(value));
+  }
 }
 
 std::string Reader::PeekTag() {
@@ -115,11 +140,7 @@ std::string Reader::PeekTag() {
 }
 
 uint64_t Reader::Count(const std::string& tag) {
-  const std::vector<int64_t> fields = Fields(tag, 1);
-  if (ok() && fields[0] < 0) {
-    Fail("negative count on '" + tag + "'");
-    return 0;
-  }
+  const std::vector<int64_t> fields = Fields(tag, {Counter("count")});
   // Refuse absurd counts so a corrupt file can't balloon allocation.
   if (ok() && fields[0] > (1ll << 24)) {
     Fail("implausible count on '" + tag + "'");
@@ -127,6 +148,38 @@ uint64_t Reader::Count(const std::string& tag) {
   }
   return ok() ? static_cast<uint64_t>(fields[0]) : 0;
 }
+
+namespace {
+
+// Reads one tagged line of non-negative counters into |fields|, in order; a
+// negative value fails, naming its field.
+void ReadCounters(Reader& reader, const std::string& tag,
+                  std::initializer_list<std::pair<const char*, uint64_t*>> fields) {
+  const std::vector<int64_t> values = reader.Fields(tag, fields.size());
+  size_t i = 0;
+  for (const auto& [name, dest] : fields) {
+    reader.CheckRange(tag, Counter(name), values[i]);
+    *dest = static_cast<uint64_t>(values[i++]);
+  }
+}
+
+// Reads a "<tag> N" line and N "<entry> key count" lines into |histogram|.
+// Keys must ascend strictly, as SerializeStats writes them: a repeated key
+// would be merged away on load.
+template <typename Key>
+void ReadHistogram(Reader& reader, const std::string& tag, const std::string& entry,
+                   std::map<Key, uint64_t>* histogram) {
+  for (uint64_t i = 0, n = reader.Count(tag); i < n && reader.ok(); ++i) {
+    const std::vector<int64_t> kv = reader.Fields(entry, {Int("key"), Counter("count")});
+    const Key key = static_cast<Key>(kv[0]);
+    if (reader.ok() && !histogram->empty() && !(histogram->rbegin()->first < key)) {
+      reader.Fail("'" + tag + "' keys not strictly ascending at " + std::to_string(kv[0]));
+    }
+    (*histogram)[key] = static_cast<uint64_t>(kv[1]);
+  }
+}
+
+}  // namespace
 
 void SerializeFinding(std::ostream& os, const Finding& finding) {
   os << "f " << static_cast<int>(finding.kind) << " " << finding.indicator << " "
@@ -138,7 +191,9 @@ void SerializeFinding(std::ostream& os, const Finding& finding) {
 }
 
 void ParseFinding(Reader& reader, Finding* finding) {
-  const std::vector<int64_t> fields = reader.Fields("f", 7);
+  const std::vector<int64_t> fields =
+      reader.Fields("f", {Int("kind"), Int("indicator"), Int("triaged"), Counter("iteration"),
+                          Int("confirmation"), Int("confirm_hits"), Int("confirm_runs")});
   finding->kind = static_cast<bpf::ReportKind>(fields[0]);
   finding->indicator = static_cast<int>(fields[1]);
   finding->triaged = static_cast<KnownBug>(fields[2]);
@@ -185,42 +240,34 @@ void SerializeStats(std::ostream& os, const CampaignStats& stats) {
 
 void ParseStats(Reader& reader, CampaignStats* stats) {
   stats->tool = Unescape(reader.Line("tool"));
-  const std::vector<int64_t> counters = reader.Fields("counters", 13);
-  stats->iterations = counters[0];
-  stats->accepted = counters[1];
-  stats->rejected = counters[2];
-  stats->exec_runs = counters[3];
-  stats->exec_failures = counters[4];
-  stats->panics = counters[5];
-  stats->substrate_rebuilds = counters[6];
-  stats->fault_injected = counters[7];
-  stats->insns_total = counters[8];
-  stats->insns_alu_jmp = counters[9];
-  stats->insns_mem = counters[10];
-  stats->insns_call = counters[11];
-  stats->final_coverage = counters[12];
-  for (uint64_t i = 0, n = reader.Count("reject_errno"); i < n && reader.ok(); ++i) {
-    const std::vector<int64_t> kv = reader.Fields("e", 2);
-    stats->reject_errno[static_cast<int>(kv[0])] = kv[1];
-  }
-  for (uint64_t i = 0, n = reader.Count("exec_errno"); i < n && reader.ok(); ++i) {
-    const std::vector<int64_t> kv = reader.Fields("x", 2);
-    stats->exec_errno[static_cast<int>(kv[0])] = kv[1];
-  }
-  for (uint64_t i = 0, n = reader.Count("outcomes"); i < n && reader.ok(); ++i) {
-    const std::vector<int64_t> kv = reader.Fields("o", 2);
-    stats->outcomes[static_cast<CaseOutcome>(kv[0])] = kv[1];
-  }
-  const std::vector<int64_t> san = reader.Fields("sanitizer", 7);
-  stats->sanitizer.programs = san[0];
-  stats->sanitizer.insns_before = san[1];
-  stats->sanitizer.insns_after = san[2];
-  stats->sanitizer.mem_sites = san[3];
-  stats->sanitizer.alu_sites = san[4];
-  stats->sanitizer.skipped_fp = san[5];
-  stats->sanitizer.skipped_rewritten = san[6];
+  ReadCounters(reader, "counters",
+               {{"iterations", &stats->iterations},
+                {"accepted", &stats->accepted},
+                {"rejected", &stats->rejected},
+                {"exec_runs", &stats->exec_runs},
+                {"exec_failures", &stats->exec_failures},
+                {"panics", &stats->panics},
+                {"substrate_rebuilds", &stats->substrate_rebuilds},
+                {"fault_injected", &stats->fault_injected},
+                {"insns_total", &stats->insns_total},
+                {"insns_alu_jmp", &stats->insns_alu_jmp},
+                {"insns_mem", &stats->insns_mem},
+                {"insns_call", &stats->insns_call},
+                {"final_coverage", &stats->final_coverage}});
+  ReadHistogram(reader, "reject_errno", "e", &stats->reject_errno);
+  ReadHistogram(reader, "exec_errno", "x", &stats->exec_errno);
+  ReadHistogram(reader, "outcomes", "o", &stats->outcomes);
+  ReadCounters(reader, "sanitizer",
+               {{"programs", &stats->sanitizer.programs},
+                {"insns_before", &stats->sanitizer.insns_before},
+                {"insns_after", &stats->sanitizer.insns_after},
+                {"mem_sites", &stats->sanitizer.mem_sites},
+                {"alu_sites", &stats->sanitizer.alu_sites},
+                {"skipped_fp", &stats->sanitizer.skipped_fp},
+                {"skipped_rewritten", &stats->sanitizer.skipped_rewritten}});
   for (uint64_t i = 0, n = reader.Count("curve"); i < n && reader.ok(); ++i) {
-    const std::vector<int64_t> point = reader.Fields("c", 2);
+    const std::vector<int64_t> point =
+        reader.Fields("c", {Counter("iteration"), Counter("covered")});
     stats->curve.push_back(
         CoveragePoint{static_cast<uint64_t>(point[0]), static_cast<size_t>(point[1])});
   }
@@ -233,20 +280,6 @@ void ParseStats(Reader& reader, CampaignStats* stats) {
     }
   }
 }
-
-namespace {
-
-// Reads one tagged line of counters into |fields|, in order.
-void ReadCounters(Reader& reader, const std::string& tag,
-                  std::initializer_list<uint64_t*> fields) {
-  const std::vector<int64_t> values = reader.Fields(tag, fields.size());
-  size_t i = 0;
-  for (uint64_t* field : fields) {
-    *field = static_cast<uint64_t>(values[i++]);
-  }
-}
-
-}  // namespace
 
 void SerializeExcludedCounters(std::ostream& os, const CampaignStats& stats) {
   os << "mmorph " << stats.metamorph_bases << " " << stats.metamorph_variants << " "
@@ -272,18 +305,26 @@ void ParseExcludedCounters(Reader& reader, CampaignStats* stats) {
     }
   }
   ReadCounters(reader, "mmorph",
-               {&stats->metamorph_bases, &stats->metamorph_variants,
-                &stats->metamorph_verdict_divergences, &stats->metamorph_witness_divergences,
-                &stats->metamorph_sanitizer_divergences});
+               {{"bases", &stats->metamorph_bases},
+                {"variants", &stats->metamorph_variants},
+                {"verdict_divergences", &stats->metamorph_verdict_divergences},
+                {"witness_divergences", &stats->metamorph_witness_divergences},
+                {"sanitizer_divergences", &stats->metamorph_sanitizer_divergences}});
   ReadCounters(reader, "supv",
-               {&stats->worker_crashes, &stats->worker_hangs, &stats->worker_exits,
-                &stats->worker_restarts, &stats->epochs_abandoned,
-                &stats->quarantined_cases});
+               {{"worker_crashes", &stats->worker_crashes},
+                {"worker_hangs", &stats->worker_hangs},
+                {"worker_exits", &stats->worker_exits},
+                {"worker_restarts", &stats->worker_restarts},
+                {"epochs_abandoned", &stats->epochs_abandoned},
+                {"quarantined_cases", &stats->quarantined_cases}});
   // Optional (checkpoints predating the conformance subsystem lack it).
   if (reader.PeekTag() == "conf") {
     ReadCounters(reader, "conf",
-                 {&stats->conf_cases, &stats->conf_passed, &stats->conf_mismatches,
-                  &stats->conf_rejects, &stats->conf_seeded});
+                 {{"cases", &stats->conf_cases},
+                  {"passed", &stats->conf_passed},
+                  {"mismatches", &stats->conf_mismatches},
+                  {"rejects", &stats->conf_rejects},
+                  {"seeded", &stats->conf_seeded}});
   }
 }
 
@@ -308,7 +349,11 @@ void SerializeCase(std::ostream& os, const FuzzCase& fc) {
 }
 
 void ParseCase(Reader& reader, FuzzCase* fc) {
-  const std::vector<int64_t> header = reader.Fields("case", 10);
+  const std::vector<int64_t> header =
+      reader.Fields("case", {Int("prog_type"), Flag("offload_requested"), Counter("insns"),
+                             Counter("maps"), Int("test_runs"), Flag("do_attach"),
+                             Int("attach_target"), Counter("events"), Flag("do_xdp_install"),
+                             Flag("do_map_batch")});
   fc->prog.type = static_cast<bpf::ProgType>(header[0]);
   fc->prog.offload_requested = header[1] != 0;
   fc->test_runs = static_cast<int>(header[4]);
@@ -317,7 +362,9 @@ void ParseCase(Reader& reader, FuzzCase* fc) {
   fc->do_xdp_install = header[8] != 0;
   fc->do_map_batch = header[9] != 0;
   for (int64_t k = 0; k < header[2] && reader.ok(); ++k) {
-    const std::vector<int64_t> fields = reader.Fields("i", 5);
+    const std::vector<int64_t> fields =
+        reader.Fields("i", {Field{"opcode", 0, 255}, Field{"dst", 0, 255}, Field{"src", 0, 255},
+                            Field{"off", INT16_MIN, INT16_MAX}, Int("imm")});
     bpf::Insn insn;
     insn.opcode = static_cast<uint8_t>(fields[0]);
     insn.dst = static_cast<uint8_t>(fields[1]);
@@ -327,7 +374,10 @@ void ParseCase(Reader& reader, FuzzCase* fc) {
     fc->prog.insns.push_back(insn);
   }
   for (int64_t k = 0; k < header[3] && reader.ok(); ++k) {
-    const std::vector<int64_t> fields = reader.Fields("m", 4);
+    const std::vector<int64_t> fields =
+        reader.Fields("m", {Int("map_type"), Field{"key_size", 0, UINT32_MAX},
+                            Field{"value_size", 0, UINT32_MAX},
+                            Field{"max_entries", 0, UINT32_MAX}});
     bpf::MapDef def;
     def.type = static_cast<bpf::MapType>(fields[0]);
     def.key_size = static_cast<uint32_t>(fields[1]);
@@ -336,7 +386,7 @@ void ParseCase(Reader& reader, FuzzCase* fc) {
     fc->maps.push_back(def);
   }
   for (int64_t k = 0; k < header[7] && reader.ok(); ++k) {
-    const std::vector<int64_t> fields = reader.Fields("ev", 1);
+    const std::vector<int64_t> fields = reader.Fields("ev", {Int("event")});
     fc->events.push_back(static_cast<bpf::TracepointId>(fields[0]));
   }
 }

@@ -13,7 +13,9 @@
 #define SRC_CORE_SERIALIZE_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -28,6 +30,24 @@ std::string Hex64(uint64_t value);
 
 std::string Escape(const std::string& s);
 std::string Unescape(const std::string& s);
+
+// One integer field of a tagged line and the range its destination holds.
+// A value outside the range would be stored wrapped or truncated (a negative
+// count read into a uint64_t), so the reader fails on it instead, naming the
+// field; a file that loads therefore re-serializes to the same numbers.
+struct Field {
+  const char* name;
+  int64_t min = 0;
+  int64_t max = std::numeric_limits<int64_t>::max();
+};
+// Non-negative counter (the default range).
+inline Field Counter(const char* name) { return Field{name}; }
+// int / enum destination.
+inline Field Int(const char* name) {
+  return Field{name, std::numeric_limits<int32_t>::min(), std::numeric_limits<int32_t>::max()};
+}
+// bool destination.
+inline Field Flag(const char* name) { return Field{name, 0, 1}; }
 
 // Line reader with tag validation; records the first error and makes every
 // subsequent read a no-op so parse code stays linear.
@@ -48,8 +68,14 @@ class Reader {
   // (without leading space). Empty optional-style: "" on failure.
   std::string Line(const std::string& tag);
 
-  // Parses space-separated integer fields from a tagged line.
+  // Parses space-separated integer fields from a tagged line. Each token
+  // must be a whole decimal int64; there must be exactly |count| of them.
   std::vector<int64_t> Fields(const std::string& tag, size_t count);
+  // As above, one field per entry of |fields|, each range-checked.
+  std::vector<int64_t> Fields(const std::string& tag, std::initializer_list<Field> fields);
+
+  // Fails unless |value| lies in |field|'s range, naming the field and tag.
+  void CheckRange(const std::string& tag, const Field& field, int64_t value);
 
   // Tag of the next line without consuming it ("" at EOF/after an error).
   // Lets parsers accept files from before an optional line existed: peek,
@@ -58,6 +84,9 @@ class Reader {
 
   // A one-field line holding a plausible element count.
   uint64_t Count(const std::string& tag);
+
+  // True once every line has been read.
+  bool AtEnd() { return is_.peek() == std::istream::traits_type::eof(); }
 
  private:
   std::istream& is_;

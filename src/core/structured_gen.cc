@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/analysis/lints.h"
+#include "src/analysis/reaching_defs.h"
 #include "src/ebpf/builder.h"
 #include "src/kernel/btf.h"
 #include "src/verifier/helper_protos.h"
@@ -52,6 +53,10 @@ struct GenCtx {
 
   GReg regs[11];
   bool stack_init[bpf::kStackSlots] = {};  // slot 0 = fp-8
+  // Registers no emitted instruction may write: a jump frame pins its loop
+  // counter while it emits the body, so the loop stays bounded. Reads stay
+  // allowed.
+  uint16_t pinned = 0;
 
   std::vector<Insn> out;
 
@@ -90,15 +95,23 @@ struct GenCtx {
     return candidates[rng->Below(n)];
   }
 
+  bool Pinned(int r) const { return (pinned >> r) & 1; }
+
   int PickScalar() {
     return PickReg([](int r, const GReg& g) {
       return r != 10 && (g.kind == GK::kScalar || g.kind == GK::kScalarSmall);
     });
   }
+  // A scalar the next instruction may overwrite in place.
+  int PickScalarDest() {
+    return PickReg([this](int r, const GReg& g) {
+      return r != 10 && !Pinned(r) && (g.kind == GK::kScalar || g.kind == GK::kScalarSmall);
+    });
+  }
   // A register that is free to clobber (prefers caller-saved temporaries).
   int PickDest(bool callee_saved_ok = true) {
     const int r = PickReg([&](int reg, const GReg& g) {
-      if (reg == 10 || reg == 0) {
+      if (reg == 10 || reg == 0 || Pinned(reg)) {
         return false;
       }
       const bool callee_saved = reg >= 6 && reg <= 9;
@@ -272,7 +285,7 @@ void EmitMapValueOps(GenCtx& g, int reg) {
   // Variable-offset access pattern: mask a scalar and use it as an index —
   // exercises the bounds tracking + alu_limit machinery.
   if (g.Chance(0.35)) {
-    const int idx = g.PickScalar();
+    const int idx = g.PickScalarDest();
     const int dst = g.PickDest();
     if (idx >= 0 && dst >= 0 && dst != reg && idx != dst && def.value_size >= 16) {
       g.Emit(bpf::AluImm(bpf::kAluAnd, static_cast<uint8_t>(idx),
@@ -358,7 +371,7 @@ void EmitBtfLoads(GenCtx& g) {
 void EmitBasicOp(GenCtx& g) {
   switch (g.rng->Below(8)) {
     case 0: {  // scalar ALU
-      const int dst = g.PickScalar();
+      const int dst = g.PickScalarDest();
       if (dst < 0) {
         break;
       }
@@ -454,13 +467,16 @@ void EmitBasicOp(GenCtx& g) {
       static constexpr int32_t kAtomicOps[] = {bpf::kAtomicAdd, bpf::kAtomicOr,
                                                bpf::kAtomicAnd, bpf::kAtomicXor,
                                                bpf::kAtomicAdd | bpf::kAtomicFetch};
+      const int32_t op = kAtomicOps[g.rng->Below(5)];
+      if ((op & bpf::kAtomicFetch) != 0 && g.Pinned(src)) {
+        break;  // a fetch writes the old slot value back into |src|
+      }
       g.Emit(bpf::AtomicOp(bpf::kSizeDw, bpf::kR10, static_cast<uint8_t>(src),
-                           static_cast<int16_t>(-8 * (slot + 1)),
-                           kAtomicOps[g.rng->Below(5)]));
+                           static_cast<int16_t>(-8 * (slot + 1)), op));
       break;
     }
     case 7: {  // scalar refinement via masking (feeds variable-offset uses)
-      const int reg = g.PickScalar();
+      const int reg = g.PickScalarDest();
       if (reg < 0) {
         break;
       }
@@ -854,14 +870,17 @@ void MergeStates(GenCtx& g, const GReg before[11], const bool stack_before[bpf::
 void EmitJumpFrame(GenCtx& g, int depth) {
   // Back-edge (bounded loop) with small probability; forward skip otherwise.
   if (g.Chance(0.25)) {
-    // rC = N; body; rC -= 1; if rC != 0 goto -(len+2)
+    // rC = N; body; rC -= 1; if rC != 0 goto -(len+2). The body may read
+    // rC but never write it, so the loop runs exactly N times.
     const uint8_t counter = static_cast<uint8_t>(6 + g.rng->Below(4));
     const int iters = static_cast<int>(2 + g.rng->Below(3));
     g.Emit(bpf::MovImm(counter, iters));
     g.regs[counter] = GReg{GK::kScalarSmall, -1, 0, iters};
     std::vector<Insn> saved = std::move(g.out);
     g.out.clear();
+    g.pinned |= static_cast<uint16_t>(1u << counter);
     EmitBasicFrame(g);
+    g.pinned &= static_cast<uint16_t>(~(1u << counter));
     std::vector<Insn> body = std::move(g.out);
     g.out = std::move(saved);
     for (const Insn& insn : body) {
@@ -1089,11 +1108,17 @@ void StructuredGenerator::Mutate(bpf::Rng& rng, FuzzCase& the_case) {
   const FuzzCase before = options_.lint_filter ? the_case : FuzzCase{};
   const int kind = static_cast<int>(rng.Below(3));
   auto& insns = the_case.prog.insns;
+  // Kinds 0 and 1 leave loop control (a back edge's init, step and test)
+  // alone: a tweaked bound or a doubled step can make a bounded loop skip its
+  // exit, and the verifier then walks it to the complexity limit.
+  const std::vector<bool> control =
+      kind <= 1 ? LoopControlInsns(the_case.prog) : std::vector<bool>{};
   switch (kind) {
     case 0: {  // immediate tweak on a random ALU instruction
       for (int attempt = 0; attempt < 8; ++attempt) {
-        Insn& insn = insns[rng.Below(insns.size())];
-        if (insn.IsAlu() && !insn.SrcIsReg() && insn.AluOp() != bpf::kAluEnd) {
+        const size_t pos = rng.Below(insns.size());
+        Insn& insn = insns[pos];
+        if (insn.IsAlu() && !insn.SrcIsReg() && insn.AluOp() != bpf::kAluEnd && !control[pos]) {
           insn.imm = static_cast<int32_t>(insn.imm + static_cast<int32_t>(rng.Range(-8, 8)));
           const bool shift = insn.AluOp() == bpf::kAluLsh || insn.AluOp() == bpf::kAluRsh ||
                              insn.AluOp() == bpf::kAluArsh;
@@ -1113,7 +1138,7 @@ void StructuredGenerator::Mutate(bpf::Rng& rng, FuzzCase& the_case) {
       for (int attempt = 0; attempt < 8; ++attempt) {
         const size_t pos = rng.Below(insns.size());
         const Insn& insn = insns[pos];
-        if (insn.IsAlu() || insn.IsMemStore()) {
+        if ((insn.IsAlu() || insn.IsMemStore()) && !control[pos]) {
           InsertInsnPatched(the_case.prog, pos, insn);
           break;
         }

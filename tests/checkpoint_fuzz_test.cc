@@ -6,10 +6,15 @@
 // trailer so the parser itself is reached, not just the checksum check.
 // Every mutant must either load or fail with a non-empty error; a crash or a
 // hang fails the suite (and gate 9 of scripts/smoke_all.sh runs it under
-// ASan/UBSan).
+// ASan/UBSan). A mutant that loads must re-serialize to the same fields: a
+// value the parser wrapped, truncated, merged or dropped would resume a
+// campaign from numbers the file never held.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cerrno>
+#include <charconv>
 #include <cstddef>
 #include <cstdio>
 #include <fstream>
@@ -154,6 +159,67 @@ void InsertLegacyLines(bpf::Rng& rng, std::vector<std::string>& lines) {
   lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(at), legacy.begin(), legacy.end());
 }
 
+bool IsLegacyCacheTag(const std::string& tag) {
+  for (const char* legacy : kLegacyCacheLines) {
+    if (std::string(legacy).rfind(tag + " ", 0) == 0) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// An integer token in canonical form ("05" and "-0" load as 5 and 0), or the
+// token itself when it is not a whole integer.
+std::string CanonicalToken(const std::string& token) {
+  const char* end = token.data() + token.size();
+  int64_t signed_value = 0;
+  if (const auto [ptr, ec] = std::from_chars(token.data(), end, signed_value);
+      ec == std::errc() && ptr == end) {
+    return std::to_string(signed_value);
+  }
+  uint64_t unsigned_value = 0;  // rng words use the full uint64 range
+  if (const auto [ptr, ec] = std::from_chars(token.data(), end, unsigned_value);
+      ec == std::errc() && ptr == end) {
+    return std::to_string(unsigned_value);
+  }
+  return token;
+}
+
+// The fields of a checkpoint body, one string per line: string payload lines
+// (tool, finding signature and details, coverage keys) unescaped, every other
+// line as canonical tokens, with "key=value" tokens split. The legacy cache
+// lines, which load by being dropped, and an all-zero optional "conf" line,
+// which an absent one loads as, are left out.
+std::vector<std::string> FieldsOf(const std::string& body) {
+  static const char* const kStringTags[] = {"tool", "fs", "fd", "k"};
+  std::vector<std::string> out;
+  for (const std::string& line : SplitLines(body)) {
+    const std::string tag = line.substr(0, line.find(' '));
+    if (IsLegacyCacheTag(tag) || line == "conf 0 0 0 0 0") {
+      continue;
+    }
+    if (std::find(std::begin(kStringTags), std::end(kStringTags), tag) !=
+        std::end(kStringTags)) {
+      out.push_back(tag + "|" +
+                    serialize::Unescape(line.size() > tag.size() ? line.substr(tag.size() + 1)
+                                                                 : ""));
+      continue;
+    }
+    std::string fields;
+    std::istringstream is(line);
+    std::string token;
+    while (is >> token) {
+      const size_t eq = token.find('=');
+      fields += eq == std::string::npos
+                    ? CanonicalToken(token)
+                    : token.substr(0, eq + 1) + CanonicalToken(token.substr(eq + 1));
+      fields += '|';
+    }
+    out.push_back(fields);
+  }
+  return out;
+}
+
 std::string Mutate(bpf::Rng& rng, const std::string& seed) {
   std::string body = seed;
   const int rounds = 1 + static_cast<int>(rng.Below(3));
@@ -224,10 +290,38 @@ TEST(CheckpointFuzzTest, LegacyCacheLinesLoadAndAreIgnored) {
   std::remove(path.c_str());
 }
 
+TEST(CheckpointFuzzTest, NegativeCounterIsRejectedNamingTheField) {
+  std::vector<std::string> lines = SplitLines(SeedBody());
+  const size_t at = LineIndex(lines, "counters");
+  ASSERT_LT(at, lines.size());
+  std::string& counters = lines[at];
+  const size_t first = counters.find(' ') + 1;
+  counters = counters.substr(0, first) + "-5" + counters.substr(counters.find(' ', first));
+  const std::string path = TempPath("fuzz_negative.bvfcp");
+  WriteFile(path, Seal(JoinLines(lines)));
+  CampaignCheckpoint cp;
+  std::string error;
+  EXPECT_EQ(LoadCheckpoint(path, &cp, &error), -EINVAL);
+  EXPECT_NE(error.find("negative iterations"), std::string::npos) << error;
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointFuzzTest, SeedCheckpointRoundTrips) {
+  const std::string path = TempPath("fuzz_seed_resave.bvfcp");
+  WriteFile(path, Seal(SeedBody()));
+  CampaignCheckpoint cp;
+  std::string error;
+  ASSERT_EQ(LoadCheckpoint(path, &cp, &error), 0) << error;
+  ASSERT_EQ(SaveCheckpoint(path, cp), 0);
+  EXPECT_EQ(StripTrailer(ReadFile(path)), SeedBody());
+  std::remove(path.c_str());
+}
+
 TEST(CheckpointFuzzTest, EveryMutantLoadsOrFailsWithAnError) {
   const std::string& seed = SeedBody();
   ASSERT_FALSE(seed.empty());
   const std::string path = TempPath("fuzz_mutant.bvfcp");
+  const std::string resaved = TempPath("fuzz_mutant_resaved.bvfcp");
   bpf::Rng rng(0xc4ec4901);
   int loaded = 0;
   int rejected = 0;
@@ -241,6 +335,14 @@ TEST(CheckpointFuzzTest, EveryMutantLoadsOrFailsWithAnError) {
     const int rc = LoadCheckpoint(path, &cp, &error);
     if (rc == 0) {
       ++loaded;
+      ASSERT_EQ(SaveCheckpoint(resaved, cp), 0);
+      const std::vector<std::string> want = FieldsOf(body);
+      const std::vector<std::string> got = FieldsOf(StripTrailer(ReadFile(resaved)));
+      const auto diverged = std::mismatch(want.begin(), want.end(), got.begin(), got.end());
+      EXPECT_TRUE(diverged.first == want.end() && diverged.second == got.end())
+          << "mutant " << i << " re-serializes differently: file has '"
+          << (diverged.first == want.end() ? "<end>" : *diverged.first) << "', reload has '"
+          << (diverged.second == got.end() ? "<end>" : *diverged.second) << "'";
     } else {
       ++rejected;
       EXPECT_LT(rc, 0) << "mutant " << i;
@@ -252,6 +354,7 @@ TEST(CheckpointFuzzTest, EveryMutantLoadsOrFailsWithAnError) {
   EXPECT_GT(loaded, kMutants / 20);
   EXPECT_GT(rejected, kMutants / 4);
   std::remove(path.c_str());
+  std::remove(resaved.c_str());
 }
 
 }  // namespace

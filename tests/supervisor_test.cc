@@ -10,6 +10,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <set>
@@ -204,7 +205,7 @@ TEST(SupervisorQuarantineTest, PersistentCrasherIsQuarantinedAndCampaignDegrades
 
 TEST(SupervisorResumeTest, SigtermMidCampaignThenResumeIsBitIdentical) {
   CampaignOptions base = SmallCampaign();
-  base.iterations = 2000;  // long enough that SIGTERM lands mid-campaign
+  base.iterations = 2000;
   const std::string clean = StatsDigest(RunParallel(base));
 
   const std::string path = TempPath("supervisor_sigterm.bvfcp");
@@ -213,14 +214,31 @@ TEST(SupervisorResumeTest, SigtermMidCampaignThenResumeIsBitIdentical) {
   first_leg.checkpoint_path = path;
   first_leg.checkpoint_every = 64;
 
-  // SIGTERM the coordinator (this process) mid-run; the supervisor's handler
-  // finishes the in-flight epoch, checkpoints at the barrier, and returns.
-  std::thread killer([] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(400));
-    ::kill(::getpid(), SIGTERM);
+  // The supervisor restores this disposition when it stops, so a SIGTERM
+  // that lands after the campaign has finished is ignored instead of killing
+  // the test binary.
+  struct sigaction ignore_late = {};
+  ignore_late.sa_handler = SIG_IGN;
+  struct sigaction old_term = {};
+  ASSERT_EQ(::sigaction(SIGTERM, &ignore_late, &old_term), 0);
+
+  // SIGTERM the coordinator (this process) once the campaign's first
+  // barrier checkpoint is on disk, i.e. mid-run whatever the throughput; the
+  // supervisor's handler finishes the in-flight epoch, checkpoints at the
+  // barrier, and returns.
+  std::atomic<bool> done{false};
+  std::thread killer([&path, &done] {
+    while (!done.load() && ::access(path.c_str(), F_OK) != 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    if (!done.load()) {
+      ::kill(::getpid(), SIGTERM);
+    }
   });
   const CampaignStats partial = RunSupervised(first_leg);
+  done.store(true);
   killer.join();
+  ::sigaction(SIGTERM, &old_term, nullptr);
   ASSERT_TRUE(partial.resume_error.empty()) << partial.resume_error;
 
   if (partial.iterations < base.iterations) {
